@@ -157,7 +157,16 @@ func (m *Machine) MustTransition(t State) {
 // addressed to node u ("mine") and those overheard ("others") — the
 // grouping the R state of Algorithm 2 calls group a and group b. The
 // input order (canonical inbox order) is preserved within each group.
+// It allocates fresh slices; per-round callers use AppendSplitInvites
+// with buffers they keep.
 func SplitInvites(u int, inbox []msg.Message) (mine, others []msg.Message) {
+	return AppendSplitInvites(nil, nil, u, inbox)
+}
+
+// AppendSplitInvites is SplitInvites appending into caller-owned
+// buffers: invitations addressed to u are appended to mine, overheard
+// ones to others, and the extended slices are returned.
+func AppendSplitInvites(mine, others []msg.Message, u int, inbox []msg.Message) ([]msg.Message, []msg.Message) {
 	for _, m := range inbox {
 		if m.Kind != msg.KindInvite {
 			continue
@@ -171,19 +180,26 @@ func SplitInvites(u int, inbox []msg.Message) (mine, others []msg.Message) {
 	return mine, others
 }
 
-// FindResponse returns the response in the inbox addressed to node u for
-// the given edge, if any; other responses are overheard and returned in
-// overheard order.
-func FindResponse(u, edge int, inbox []msg.Message) (accepted msg.Message, ok bool, overheard []msg.Message) {
+// AppendInvites appends the invitations in inbox addressed to node u to
+// dst, in inbox order, and returns the extended slice — the "mine" half
+// of AppendSplitInvites for callers that ignore the overheard group.
+func AppendInvites(dst []msg.Message, u int, inbox []msg.Message) []msg.Message {
 	for _, m := range inbox {
-		if m.Kind != msg.KindResponse {
-			continue
-		}
-		if m.To == u && m.Edge == edge {
-			accepted, ok = m, true
-		} else {
-			overheard = append(overheard, m)
+		if m.Kind == msg.KindInvite && m.To == u {
+			dst = append(dst, m)
 		}
 	}
-	return accepted, ok, overheard
+	return dst
+}
+
+// FindResponse returns the response in the inbox addressed to node u for
+// the given edge, if any. Responses addressed elsewhere or for other
+// edges are skipped.
+func FindResponse(u, edge int, inbox []msg.Message) (accepted msg.Message, ok bool) {
+	for _, m := range inbox {
+		if m.Kind == msg.KindResponse && m.To == u && m.Edge == edge {
+			accepted, ok = m, true
+		}
+	}
+	return accepted, ok
 }

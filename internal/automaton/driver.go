@@ -30,7 +30,8 @@ type Pairing interface {
 	// Respond chooses among the invitations addressed to this node
 	// (mine) given everything overheard; returning ok == true
 	// broadcasts the response and commits this side of the pair. The
-	// implementation records its own tentative state.
+	// implementation records its own tentative state. Both slices are
+	// the driver's reused buffers: copy values out, never retain them.
 	Respond(mine, overheard []msg.Message, r *rng.Rand) (response msg.Message, ok bool)
 	// Complete delivers the response that accepted this node's
 	// invitation (inviter side of the pair).
@@ -56,6 +57,10 @@ type Driver struct {
 	inviteEdge int
 	inviteTo   int
 	invited    bool
+
+	// Scratch for the invitation split of the R state, reused across
+	// rounds so the respond phase does not allocate.
+	mine, others []msg.Message
 
 	// Recovery state: the last invitation sent, kept while its response
 	// is outstanding. A node whose invitation went unanswered re-enters
@@ -155,11 +160,11 @@ func (d *Driver) Step(round int, inbox []msg.Message) []msg.Message {
 		if d.rec.Enabled {
 			out = d.reaffirm(inbox)
 		}
-		mine, overheard := SplitInvites(d.id, inbox)
-		if d.holdRespond || !d.p.Live() || len(mine) == 0 {
+		d.mine, d.others = AppendSplitInvites(d.mine[:0], d.others[:0], d.id, inbox)
+		if d.holdRespond || !d.p.Live() || len(d.mine) == 0 {
 			return out
 		}
-		if m, ok := d.p.Respond(mine, overheard, d.r); ok {
+		if m, ok := d.p.Respond(d.mine, d.others, d.r); ok {
 			m.Kind = msg.KindResponse
 			m.From = d.id
 			out = append(out, m)
@@ -169,7 +174,7 @@ func (d *Driver) Step(round int, inbox []msg.Message) []msg.Message {
 	default:
 		switch d.mach.State() {
 		case Wait:
-			if m, ok, _ := FindResponse(d.id, d.inviteEdge, inbox); ok && m.From == d.inviteTo {
+			if m, ok := FindResponse(d.id, d.inviteEdge, inbox); ok && m.From == d.inviteTo {
 				d.p.Complete(m)
 				d.clearPending()
 			} else if d.rec.Enabled {
@@ -200,9 +205,9 @@ func (d *Driver) reaffirm(inbox []msg.Message) []msg.Message {
 	if !ok {
 		return nil
 	}
-	mine, _ := SplitInvites(d.id, inbox)
+	d.mine = AppendInvites(d.mine[:0], d.id, inbox)
 	var out []msg.Message
-	for _, inv := range mine {
+	for _, inv := range d.mine {
 		if m, ok := ref.Reaffirm(inv); ok {
 			m.From = d.id
 			m.Seq = inv.Seq

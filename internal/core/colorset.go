@@ -14,7 +14,11 @@
 // deviation from the paper's state diagram panics in tests.
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"dima/internal/rng"
+)
 
 // ColorSet is a growable bit set over non-negative color indices. The
 // zero value is an empty set ready for use.
@@ -99,7 +103,8 @@ func LowestFree(sets ...*ColorSet) int {
 }
 
 // FreeBelow returns all colors in [0, bound) contained in none of the
-// given sets, in increasing order. Used by the random-color ablation.
+// given sets, in increasing order. RandomFreeBelow draws from this list
+// without building it.
 func FreeBelow(bound int, sets ...*ColorSet) []int {
 	var free []int
 	for c := 0; c < bound; c++ {
@@ -113,6 +118,46 @@ func FreeBelow(bound int, sets ...*ColorSet) []int {
 		if ok {
 			free = append(free, c)
 		}
+	}
+	return free
+}
+
+// RandomFreeBelow draws a color uniformly from FreeBelow(bound, sets...)
+// with exactly the draw the slice form takes, free[r.Intn(len(free))],
+// so it returns the same color for the same stream. It works on whole
+// bitset words and allocates nothing. Like r.Intn, it panics when no
+// color is free.
+func RandomFreeBelow(r *rng.Rand, bound int, sets ...*ColorSet) int {
+	count := 0
+	for w := 0; w<<6 < bound; w++ {
+		count += bits.OnesCount64(freeWord(w, bound, sets))
+	}
+	k := r.Intn(count)
+	for w := 0; ; w++ {
+		free := freeWord(w, bound, sets)
+		if c := bits.OnesCount64(free); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			free &= free - 1 // drop the lowest free color
+		}
+		return w<<6 + bits.TrailingZeros64(free)
+	}
+}
+
+// freeWord returns word w of the set of colors below bound that none of
+// sets contains.
+func freeWord(w, bound int, sets []*ColorSet) uint64 {
+	var used uint64
+	for _, s := range sets {
+		if s != nil && w < len(s.words) {
+			used |= s.words[w]
+		}
+	}
+	free := ^used
+	if rem := bound - w<<6; rem < 64 {
+		free &= 1<<uint(rem) - 1
 	}
 	return free
 }

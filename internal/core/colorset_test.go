@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"dima/internal/rng"
 )
 
 func TestColorSetZeroValue(t *testing.T) {
@@ -164,5 +166,36 @@ func TestQuickCountMatchesDistinct(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRandomFreeBelowMatchesSliceDraw pins RandomFreeBelow to the slice
+// form it replaces: for the same stream it must return
+// FreeBelow(...)[r.Intn(len)] and leave the stream in the same state.
+func TestRandomFreeBelowMatchesSliceDraw(t *testing.T) {
+	src := rng.New(3)
+	for trial := 0; trial < 2000; trial++ {
+		sets := make([]*ColorSet, 1+src.Intn(4))
+		maxC := 1 + src.Intn(300)
+		for i := range sets {
+			if src.Intn(5) == 0 {
+				continue // nil sets are allowed
+			}
+			sets[i] = &ColorSet{}
+			for k := src.Intn(maxC); k > 0; k-- {
+				sets[i].Add(src.Intn(maxC))
+			}
+		}
+		bound := MaxOf(sets...) + 2 + src.Intn(70)
+		seed := src.Uint64()
+		wr, gr := rng.New(seed), rng.New(seed)
+		free := FreeBelow(bound, sets...)
+		want := free[wr.Intn(len(free))]
+		if got := RandomFreeBelow(gr, bound, sets...); got != want {
+			t.Fatalf("trial %d: RandomFreeBelow = %d, slice draw = %d (bound %d)", trial, got, want, bound)
+		}
+		if wr.Uint64() != gr.Uint64() {
+			t.Fatalf("trial %d: streams diverged after the draw", trial)
+		}
 	}
 }

@@ -167,6 +167,10 @@ type ecNode struct {
 
 	pendingPaints []msg.Paint // colors assigned this round, to broadcast in E
 
+	// mine is per-node scratch reused across rounds: the invitations
+	// addressed here, filtered in place to the valid ones.
+	mine []msg.Message
+
 	defensiveRejects int
 
 	// Recovery state (Options.Recovery; see recovery.go). pendingAck
@@ -421,17 +425,11 @@ func (n *ecNode) proposeColor(e graph.EdgeID, target *ColorSet) int {
 	if n.recOn() {
 		widen = n.attempts[e] / 4
 	}
-	if n.opt.ColorRule == RandomAvailable {
-		bound := MaxOf(&n.usedSelf, target) + 2 + widen
-		free := FreeBelow(bound, &n.usedSelf, target)
-		return free[n.r.Intn(len(free))] // nonempty: bound exceeds max used
-	}
-	if widen == 0 {
+	if n.opt.ColorRule != RandomAvailable && widen == 0 {
 		return LowestFree(&n.usedSelf, target)
 	}
 	bound := MaxOf(&n.usedSelf, target) + 2 + widen
-	free := FreeBelow(bound, &n.usedSelf, target)
-	return free[n.r.Intn(len(free))]
+	return RandomFreeBelow(n.r, bound, &n.usedSelf, target) // some color is free: bound exceeds max used
 }
 
 // phaseRespond handles the L→R side (accept one invitation) and the I→W
@@ -451,14 +449,15 @@ func (n *ecNode) phaseRespond(inbox []msg.Message) []msg.Message {
 		return out
 	}
 	n.mach.MustTransition(automaton.Respond)
-	mine, _ := automaton.SplitInvites(n.id, inbox)
+	n.mine = automaton.AppendInvites(n.mine[:0], n.id, inbox)
 	// Defensive validation: an invitation is acceptable only if its
 	// color is unused here and its edge is still uncolored. The protocol
 	// invariants guarantee this under reliable delivery (the inviter
 	// proposed from current one-hop knowledge); under injected faults
-	// stale invitations are rejected here.
-	valid := mine[:0:0]
-	for _, m := range mine {
+	// stale invitations are rejected here. The valid ones are compacted
+	// in place at the front of n.mine.
+	valid := n.mine[:0]
+	for _, m := range n.mine {
 		if n.recOn() {
 			if c, ok := n.colors[graph.EdgeID(m.Edge)]; ok && n.incidentFrom(graph.EdgeID(m.Edge), m.From) {
 				// The inviter renegotiates an edge this node already
@@ -505,7 +504,7 @@ func (n *ecNode) phaseUpdateExchange(inbox []msg.Message) []msg.Message {
 	switch n.mach.State() {
 	case automaton.Wait:
 		if !n.recOn() {
-			if m, ok, _ := automaton.FindResponse(n.id, int(n.inviteEdge), inbox); ok {
+			if m, ok := automaton.FindResponse(n.id, int(n.inviteEdge), inbox); ok {
 				if m.From == n.inviteTo && m.Color == n.inviteColor {
 					n.assign(n.inviteEdge, m.Color, m.From)
 				} else {
@@ -643,8 +642,8 @@ func (n *ecNode) rebuildUsedSelf() {
 // already committed — the finished node's half of the authoritative
 // re-response mechanism.
 func (n *ecNode) answerColoredInvites(inbox []msg.Message, out []msg.Message) []msg.Message {
-	mine, _ := automaton.SplitInvites(n.id, inbox)
-	for _, m := range mine {
+	n.mine = automaton.AppendInvites(n.mine[:0], n.id, inbox)
+	for _, m := range n.mine {
 		e := graph.EdgeID(m.Edge)
 		if !n.incidentFrom(e, m.From) {
 			continue

@@ -183,6 +183,21 @@ type scNode struct {
 
 	claim *scClaim // tentative pairing this round, nil if none
 
+	// forbidden holds the color sets whose union covers every color used
+	// on arcs within u's closed neighborhood — u's half of the
+	// distance-1 conflict set of any arc incident to u: &colorsSelf
+	// followed by &colorsAt[i] for every neighbor. colorsAt never
+	// changes length, so it is built once; its spare capacity of one
+	// lets proposeColor append a neighbor's dead list without
+	// allocating.
+	forbidden []*ColorSet
+
+	// mine is per-node scratch reused across rounds: the invitations
+	// addressed here, filtered in place to the valid ones. Overheard
+	// invitations get no buffer (the overhear filter scans the inbox),
+	// which keeps the memory every node retains small.
+	mine []msg.Message
+
 	// Recovery state (Options.Recovery; see recovery.go). reaffirmQ holds
 	// keep-Decides re-announcing committed colors (after an adoption, or
 	// to flush out the losing side of a late-detected conflict), drained
@@ -222,6 +237,11 @@ func newSCNode(d *graph.Digraph, u int, r *rng.Rand, opt *Options) *scNode {
 		attempts:  make(map[graph.ArcID]int),
 	}
 	n.deadNbr = make([]ColorSet, g.Degree(u))
+	n.forbidden = make([]*ColorSet, 0, len(n.colorsAt)+2)
+	n.forbidden = append(n.forbidden, &n.colorsSelf)
+	for i := range n.colorsAt {
+		n.forbidden = append(n.forbidden, &n.colorsAt[i])
+	}
 	for i, v := range g.Neighbors(u) {
 		n.nbrIndex[v] = i
 	}
@@ -313,18 +333,6 @@ func (n *scNode) stepDone(compRound, phase int, inbox []msg.Message) []msg.Messa
 	return nil
 }
 
-// forbidden returns the color sets whose union covers every color used
-// on arcs within u's closed neighborhood — u's half of the distance-1
-// conflict set of any arc incident to u.
-func (n *scNode) forbidden() []*ColorSet {
-	sets := make([]*ColorSet, 0, len(n.colorsAt)+1)
-	sets = append(sets, &n.colorsSelf)
-	for i := range n.colorsAt {
-		sets = append(sets, &n.colorsAt[i])
-	}
-	return sets
-}
-
 // phaseChooseInvite finalizes the previous round's claims from the
 // decide broadcasts, then runs the coin toss and invitation. Under
 // recovery the decide processing can emit negative acknowledgements
@@ -399,7 +407,7 @@ func (n *scNode) phaseChooseInvite(compRound int, inbox []msg.Message) []msg.Mes
 // updates are in flight. Under the RandomAvailable rule every attempt is
 // randomized.
 func (n *scNode) proposeColor(a graph.ArcID, v int) int {
-	sets := append(n.forbidden(), &n.deadNbr[n.nbrIndex[v]])
+	sets := append(n.forbidden, &n.deadNbr[n.nbrIndex[v]])
 	// Most invitation failures are benign (the target was not listening
 	// or chose another suitor), and on average an arc needs ~4 attempts
 	// even without channel disagreement, so the window widens only every
@@ -410,8 +418,7 @@ func (n *scNode) proposeColor(a graph.ArcID, v int) int {
 		return LowestFree(sets...)
 	}
 	bound := MaxOf(sets...) + 2 + widen
-	free := FreeBelow(bound, sets...)
-	return free[n.r.Intn(len(free))] // nonempty: bound exceeds max used
+	return RandomFreeBelow(n.r, bound, sets...) // some color is free: bound exceeds max used
 }
 
 // applyDecides processes the keep/drop broadcasts of the previous
@@ -590,15 +597,15 @@ func (n *scNode) phaseRespond(inbox []msg.Message) []msg.Message {
 		return out
 	}
 	n.mach.MustTransition(automaton.Respond)
-	mine, others := automaton.SplitInvites(n.id, inbox)
+	n.mine = automaton.AppendInvites(n.mine[:0], n.id, inbox)
 	// A proposed channel is acceptable only if it is free in this node's
 	// closed neighborhood. Any invitation overheard from a neighbor is
 	// connected to this node's arcs by the link it arrived on, so — per
 	// Procedure 2-b — a color collision with an overheard invitation
-	// disqualifies an invitation addressed here.
-	sets := n.forbidden()
-	valid := mine[:0:0]
-	for _, m := range mine {
+	// disqualifies an invitation addressed here. The valid invitations
+	// are compacted in place at the front of n.mine.
+	valid := n.mine[:0]
+	for _, m := range n.mine {
 		a := graph.ArcID(m.Edge)
 		if _, already := n.colors[a]; already || n.d.ArcAt(a).To != n.id {
 			if n.recOn() && already {
@@ -611,19 +618,14 @@ func (n *scNode) phaseRespond(inbox []msg.Message) []msg.Message {
 		// normal Procedure 2-b rejection, not a protocol anomaly: the
 		// inviter cannot see colors held by this node's other neighbors.
 		bad := false
-		for _, s := range sets {
+		for _, s := range n.forbidden {
 			if s.Has(m.Color) {
 				bad = true
 				break
 			}
 		}
-		if !n.opt.DisableOverhearFilter {
-			for _, o := range others {
-				if o.Color == m.Color {
-					bad = true
-					break
-				}
-			}
+		if !n.opt.DisableOverhearFilter && overheardColor(n.id, m.Color, inbox) {
+			bad = true
 		}
 		if !bad {
 			valid = append(valid, m)
@@ -640,6 +642,18 @@ func (n *scNode) phaseRespond(inbox []msg.Message) []msg.Message {
 	})
 }
 
+// overheardColor reports whether inbox holds an invitation addressed to
+// a node other than u that proposes color c — a collision with
+// Procedure 2-b's group b of overheard invitations.
+func overheardColor(u, c int, inbox []msg.Message) bool {
+	for _, m := range inbox {
+		if m.Kind == msg.KindInvite && m.To != u && m.Color == c {
+			return true
+		}
+	}
+	return false
+}
+
 // phaseClaim: inviters look for an acceptance; both members of each
 // tentative pair broadcast a claim (first exchange sub-round). Under
 // UnsafeNoConfirm pairs finalize immediately, as in the paper, and
@@ -647,7 +661,7 @@ func (n *scNode) phaseRespond(inbox []msg.Message) []msg.Message {
 func (n *scNode) phaseClaim(inbox []msg.Message) []msg.Message {
 	switch n.mach.State() {
 	case automaton.Wait:
-		if m, ok, _ := automaton.FindResponse(n.id, int(n.inviteArc), inbox); ok {
+		if m, ok := automaton.FindResponse(n.id, int(n.inviteArc), inbox); ok {
 			if m.From == n.inviteTo && m.Color == n.inviteColor && (!n.recOn() || m.Seq == 0) {
 				n.claim = &scClaim{arc: n.inviteArc, color: n.inviteColor, partner: n.inviteTo, keep: true,
 					roundIdx: n.partIdx(), compRound: n.curRound}
@@ -732,10 +746,10 @@ func (n *scNode) phaseDecide(compRound int, inbox []msg.Message) []msg.Message {
 				}
 			}
 		}
-		return append(out, n.deadListDelta()...)
+		return n.appendDeadListDelta(out)
 	}
 	if n.claim == nil {
-		return append(out, n.deadListDelta()...)
+		return n.appendDeadListDelta(out)
 	}
 	myPrio := claimPriority(compRound, n.claim.arc)
 	for _, m := range inbox {
@@ -748,27 +762,32 @@ func (n *scNode) phaseDecide(compRound int, inbox []msg.Message) []msg.Message {
 			break
 		}
 	}
-	return append(append(out, n.deadListDelta()...), msg.Message{
+	// The decide goes out before the dead-list delta: KindDecide sorts
+	// before KindUpdate in msg.Less, so the reliable outbox is already
+	// in canonical order and the engine need not sort a copy.
+	out = append(out, msg.Message{
 		Kind: msg.KindDecide, From: n.id, To: msg.Broadcast,
 		Edge: int(n.claim.arc), Color: n.claim.color, Keep: n.claim.keep,
 	})
+	return n.appendDeadListDelta(out)
 }
 
-// deadListDelta drains the queue of newly dead channels into an exchange
-// broadcast (nil if nothing changed) — the UPDATECOLORS step.
-func (n *scNode) deadListDelta() []msg.Message {
+// appendDeadListDelta drains the queue of newly dead channels into an
+// exchange broadcast appended to out (nothing if nothing changed) — the
+// UPDATECOLORS step.
+func (n *scNode) appendDeadListDelta(out []msg.Message) []msg.Message {
 	if len(n.deadQueue) == 0 {
-		return nil
+		return out
 	}
 	paints := make([]msg.Paint, len(n.deadQueue))
 	for i, c := range n.deadQueue {
 		paints[i] = msg.Paint{Edge: -1, Color: c}
 	}
 	n.deadQueue = n.deadQueue[:0]
-	return []msg.Message{{
+	return append(out, msg.Message{
 		Kind: msg.KindUpdate, From: n.id, To: msg.Broadcast,
 		Edge: -1, Color: -1, Paints: paints,
-	}}
+	})
 }
 
 // claimPriority orders same-color claims deterministically; both
@@ -883,8 +902,8 @@ func (n *scNode) processAcks(inbox []msg.Message) []msg.Message {
 // already committed, with the committed color and a nonzero Seq so the
 // inviter routes the reply through its adoption scan.
 func (n *scNode) answerCommittedInvites(inbox []msg.Message, out []msg.Message) []msg.Message {
-	mine, _ := automaton.SplitInvites(n.id, inbox)
-	for _, m := range mine {
+	n.mine = automaton.AppendInvites(n.mine[:0], n.id, inbox)
+	for _, m := range n.mine {
 		a := graph.ArcID(m.Edge)
 		if !n.arcWith(a, m.From) {
 			continue
@@ -925,7 +944,7 @@ func (n *scNode) adoptResponses(inbox []msg.Message) []msg.Message {
 		}
 		bad := n.claim != nil && n.claim.color == m.Color
 		if !bad {
-			for _, s := range n.forbidden() {
+			for _, s := range n.forbidden {
 				if s.Has(m.Color) {
 					bad = true
 					break

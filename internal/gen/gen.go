@@ -42,15 +42,23 @@ func ErdosRenyiGNP(r *rng.Rand, n int, p float64) (*graph.Graph, error) {
 		}
 		return g, nil
 	}
-	// Walk the linearized pair index with geometric jumps.
+	// Walk the linearized pair index with geometric jumps. The index only
+	// grows, so a row cursor replaces pairFromIndex's scan from row 0:
+	// row u holds indices [rowStart, rowStart+n-1-u). The mapping is the
+	// same, in O(n+m) instead of O(n·m).
 	idx := -1
+	u, rowStart, rowLen := 0, 0, n-1
 	for {
 		idx += r.Geometric(p)
 		if idx >= total {
 			return g, nil
 		}
-		u, v := pairFromIndex(idx, n)
-		g.MustAddEdge(u, v)
+		for idx-rowStart >= rowLen {
+			rowStart += rowLen
+			u++
+			rowLen--
+		}
+		g.MustAddEdge(u, u+1+idx-rowStart)
 	}
 }
 
@@ -105,10 +113,13 @@ func denseGNM(r *rng.Rand, n, m, total int) (*graph.Graph, error) {
 		excluded[r.Intn(total)] = true
 	}
 	g := graph.New(n)
-	for idx := 0; idx < total; idx++ {
-		if !excluded[idx] {
-			u, v := pairFromIndex(idx, n)
-			g.MustAddEdge(u, v)
+	idx := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !excluded[idx] {
+				g.MustAddEdge(u, v)
+			}
+			idx++
 		}
 	}
 	return g, nil

@@ -30,6 +30,73 @@ func TestPairFromIndexBijective(t *testing.T) {
 	}
 }
 
+// TestGNPMatchesPairFromIndex replays G(n, p)'s geometric walk with
+// the same stream and maps each index through pairFromIndex: the row
+// cursor must add exactly these edges, in this order.
+func TestGNPMatchesPairFromIndex(t *testing.T) {
+	for _, n := range []int{2, 3, 7, 40, 301} {
+		for _, p := range []float64{0.01, 0.1, 0.5, 0.93} {
+			for seed := uint64(0); seed < 4; seed++ {
+				g, err := ErdosRenyiGNP(rng.New(seed), n, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rng.New(seed)
+				total := n * (n - 1) / 2
+				var want []graph.Edge
+				for idx := r.Geometric(p) - 1; idx < total; idx += r.Geometric(p) {
+					u, v := pairFromIndex(idx, n)
+					want = append(want, graph.Edge{U: u, V: v})
+				}
+				got := g.Edges()
+				if len(got) != len(want) {
+					t.Fatalf("n=%d p=%v seed=%d: %d edges, want %d", n, p, seed, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d p=%v seed=%d: edge %d is %v, want %v", n, p, seed, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDenseGNMMatchesPairFromIndex does the same for the dense G(n, m)
+// path, which walks every pair index in order.
+func TestDenseGNMMatchesPairFromIndex(t *testing.T) {
+	for _, n := range []int{3, 9, 50} {
+		total := n * (n - 1) / 2
+		for _, m := range []int{total/2 + 1, total - 1, total} {
+			g, err := ErdosRenyiGNM(rng.New(uint64(m)), n, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(uint64(m))
+			excluded := make(map[int]bool)
+			for len(excluded) < total-m {
+				excluded[r.Intn(total)] = true
+			}
+			var want []graph.Edge
+			for idx := 0; idx < total; idx++ {
+				if !excluded[idx] {
+					u, v := pairFromIndex(idx, n)
+					want = append(want, graph.Edge{U: u, V: v})
+				}
+			}
+			got := g.Edges()
+			if len(got) != len(want) {
+				t.Fatalf("n=%d m=%d: %d edges, want %d", n, m, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d m=%d: edge %d is %v, want %v", n, m, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestGNPExtremes(t *testing.T) {
 	r := rng.New(1)
 	g, err := ErdosRenyiGNP(r, 10, 0)

@@ -2,23 +2,35 @@ package msg
 
 import "math/bits"
 
-// Sort sorts msgs in place into the canonical Less order. It is the
-// engines' inbox sort: every engine canonicalizes a node's inbox with
-// Sort before handing it to Step, so protocol logic sees the same
-// sequence regardless of which engine delivered the messages.
+// Sort sorts msgs in place into the canonical Less order, the order in
+// which every engine hands a node its inbox. RunChan sorts each inbox
+// with it, because its arrival order is nondeterministic. RunSync,
+// RunShard and the tcp engine instead sort a copy of each outbox that
+// is not already in order (see IsSorted): they deliver in ascending
+// sender id, so sorted outboxes yield sorted inboxes.
 //
 // The implementation is specialized to []Message — no reflection, no
-// interface dispatch — because inbox sorting sits on the hottest path of
-// every run (once per node per communication round). Inboxes are short
-// (at most one message per neighbor per phase), so the common case is
-// the insertion sort; larger inboxes take a median-of-three quicksort
-// with a depth bound and a heapsort fallback, keeping the worst case
-// O(n log n).
+// interface dispatch — because it sits on a hot path. Batches are short
+// (at most one message per neighbor per phase for an inbox, a few for
+// an outbox), so the common case is the insertion sort; larger ones
+// take a median-of-three quicksort with a depth bound and a heapsort
+// fallback, keeping the worst case O(n log n).
 func Sort(msgs []Message) {
 	if len(msgs) < 2 {
 		return
 	}
 	quickSortMsgs(msgs, 2*bits.Len(uint(len(msgs))))
+}
+
+// IsSorted reports whether msgs is already in Less order (ties
+// allowed). Empty and one-element slices are sorted.
+func IsSorted(msgs []Message) bool {
+	for i := 1; i < len(msgs); i++ {
+		if Less(msgs[i], msgs[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sortSmallMax is the slice length at or below which insertion sort is

@@ -3,7 +3,7 @@
 // rounds, each vertex is a compute node, and every message a node sends
 // in a round is heard by all of its neighbors (local broadcast).
 //
-// Three interchangeable engines execute the same Node protocol logic:
+// Four interchangeable engines execute the same Node protocol logic:
 //
 //   - RunSync: a deterministic sequential scheduler, used by tests,
 //     benchmarks, and experiments for speed and reproducibility.
@@ -13,6 +13,9 @@
 //   - RunShard: Config.Workers goroutines, each owning a contiguous
 //     vertex shard, with a deterministic two-phase merge barrier — the
 //     scale engine for million-vertex graphs.
+//   - RunTCP (TCPCluster.Engine): vertex shards stepped in separate OS
+//     processes, with a coordinator routing every round's traffic over
+//     TCP.
 //
 // Given nodes whose behavior is a deterministic function of (round,
 // sorted inbox, per-node RNG), all engines produce identical executions;
@@ -37,11 +40,22 @@ type Node interface {
 	// Step executes one communication round. The inbox holds every
 	// message broadcast by a neighbor in the previous round, sorted by
 	// msg.Less. The returned messages are locally broadcast: delivered
-	// to every neighbor at the next round.
+	// to every neighbor at the next round. Each must carry From == ID().
+	//
+	// How the inbox comes to be sorted: RunSync, RunShard and the tcp
+	// engine put each returned outbox into msg.Less order when it is
+	// emitted (sorting a copy when the node's order differs) and append
+	// deliveries in ascending sender id. Since Less orders by From
+	// first, every inbox arrives sorted without a per-delivery sort.
+	// RunChan, whose arrival order is nondeterministic, sorts each
+	// inbox instead. Emitting messages already in Less order saves the
+	// copy.
 	//
 	// The inbox slice is owned by the engine and reused across rounds:
 	// implementations may copy Message values out of it but must not
-	// retain the slice itself.
+	// retain the slice itself. The returned slice stays the node's:
+	// engines read it and copy Message values out, but never write to
+	// it or keep it past the round.
 	Step(round int, inbox []msg.Message) []msg.Message
 	// Done reports whether this node has completed all of its work and
 	// flushed every message its neighbors still need.
@@ -197,6 +211,19 @@ func validate(g *graph.Graph, nodes []Node) error {
 	return nil
 }
 
+// canonicalOutbox returns out in msg.Less order. A node's outbox is
+// almost always in that order already and is then returned as is;
+// otherwise it is copied into *scratch and the copy sorted, because the
+// slice belongs to the node and must not be mutated.
+func canonicalOutbox(out []msg.Message, scratch *[]msg.Message) []msg.Message {
+	if msg.IsSorted(out) {
+		return out
+	}
+	*scratch = append((*scratch)[:0], out...)
+	msg.Sort(*scratch)
+	return *scratch
+}
+
 func allDone(nodes []Node) bool {
 	for _, n := range nodes {
 		if !n.Done() {
@@ -229,9 +256,11 @@ func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	// Double-buffered inboxes: the current round's inboxes are consumed
 	// while the next round's fill, then the buffers swap and truncate.
 	// Message values are structs, so nodes copying them out of a reused
-	// slice stay valid.
+	// slice stay valid. Vertices step in ascending id and their outboxes
+	// are canonicalized, so each inbox fills in msg.Less order.
 	inboxes := make([][]msg.Message, g.N())
 	next := make([][]msg.Message, g.N())
+	var sorted []msg.Message
 	if allDone(nodes) {
 		res.Terminated = true
 		return res, nil
@@ -243,9 +272,7 @@ func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	for round := 0; round < maxRounds; round++ {
 		var rt RoundTraffic
 		for u := 0; u < g.N(); u++ {
-			in := inboxes[u]
-			msg.Sort(in)
-			out := nodes[u].Step(round, in)
+			out := canonicalOutbox(nodes[u].Step(round, inboxes[u]), &sorted)
 			for _, m := range out {
 				sz := int64(m.Size())
 				res.Messages++

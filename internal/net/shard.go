@@ -131,13 +131,13 @@ func RunShardCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) 
 //
 // Each round has two barrier-separated phases:
 //
-//  1. Step: every worker steps its own vertices in id order, sorting
-//     each inbox with msg.Sort first, and buffers each outbound
-//     broadcast as one shardDelivery per destination shard that holds
-//     a neighbor of the sender (per surviving delivery when a fault
-//     injector is configured). Workers touch only their own vertices'
-//     inboxes and their own outbound buckets, so the phase is
-//     data-race free by partitioning.
+//  1. Step: every worker steps its own vertices in id order, puts each
+//     outbox into msg.Less order (canonicalOutbox), and buffers each
+//     outbound broadcast as one shardDelivery per destination shard
+//     that holds a neighbor of the sender (per surviving delivery when
+//     a fault injector is configured). Workers touch only their own
+//     vertices' inboxes and their own outbound buckets, so the phase
+//     is data-race free by partitioning.
 //  2. Merge: every worker rebuilds the next-round inbox arena of its
 //     own shard by draining the non-empty buckets addressed to it in
 //     sender shard order (the coordinator hands each worker the exact
@@ -146,9 +146,9 @@ func RunShardCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) 
 //     shard. Within one sender shard the records are already in sender
 //     id order (workers step in id order), so each inbox fills in
 //     ascending sender id — exactly the append order RunSync produces.
-//     Identical pre-sort inboxes plus the shared msg.Sort make the
-//     executions byte-identical: same final colorings, same Result,
-//     same per-round RoundTraffic stream, for any Workers.
+//     With canonical outboxes that is msg.Less order, and the identical
+//     inboxes make the executions byte-identical: same final colorings,
+//     same Result, same per-round RoundTraffic stream, for any Workers.
 //
 // The coordinator folds worker statistics in shard order between the
 // phases and invokes cfg.Observe sequentially in round order, matching
@@ -249,6 +249,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 			cnt := make([]int32, size)
 			myOut := out[s]
 			var tl []int32
+			var sorted []msg.Message
 			for {
 				c := <-cmd[s]
 				switch {
@@ -261,8 +262,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 					tl = tl[:0]
 					for u := lo; u < hi; u++ {
 						inbox := cur.buf[cur.off[u-lo]:cur.off[u-lo+1]]
-						msg.Sort(inbox)
-						msgs := nodes[u].Step(c, inbox)
+						msgs := canonicalOutbox(nodes[u].Step(c, inbox), &sorted)
 						if len(msgs) == 0 {
 							continue
 						}

@@ -165,8 +165,12 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 		return fmt.Errorf("send ready: %w", err)
 	}
 
+	// Deliveries arrive in ascending sender id (the coordinator routes
+	// shard outboxes in shard order), so canonical outboxes make every
+	// inbox sorted.
 	inboxes := make([][]msg.Message, len(nodes))
 	var outb []broadcast
+	var sorted []msg.Message
 	var buf []byte
 	for {
 		kind, payload, err := fr.Next()
@@ -190,9 +194,7 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 			}
 			outb = outb[:0]
 			for i, n := range nodes {
-				in := inboxes[i]
-				msg.Sort(in)
-				for _, m := range n.Step(round, in) {
+				for _, m := range canonicalOutbox(n.Step(round, inboxes[i]), &sorted) {
 					outb = append(outb, broadcast{from: w.lo + i, m: m})
 				}
 			}
