@@ -1,6 +1,6 @@
 # Verify loop for the dima module. `make check` is the full gate run
 # before every commit: build, vet, the complete test suite, and the
-# goroutine runtime under the race detector.
+# complete test suite again under the race detector.
 
 GO ?= go
 
@@ -15,7 +15,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...

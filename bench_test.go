@@ -211,17 +211,16 @@ func BenchmarkAblationOverhearFilter(b *testing.B) {
 }
 
 // BenchmarkEngines compares the deterministic sequential runtime with
-// the goroutine-per-vertex channel runtime on an identical workload.
+// the 3-worker shard runtime on an identical workload.
 func BenchmarkEngines(b *testing.B) {
 	g, err := gen.ErdosRenyiAvgDegree(rng.New(5), 200, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for name, eng := range map[string]net.Engine{"sync": net.RunSync, "chan": net.RunChan} {
-		eng := eng
+	for name, eng := range map[string]net.Engine{"sync": net.RunSync, "shard-3": net.RunShard} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ColorEdges(g, core.Options{Seed: uint64(i), Engine: eng}); err != nil {
+				if _, err := core.ColorEdges(g, core.Options{Seed: uint64(i), Engine: eng, Workers: 3}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -82,7 +82,7 @@ func TestStrongPipeline(t *testing.T) {
 	if _, stderr, err := run(t, "graphgen", "-family", "geometric", "-n", "40", "-radius", "0.3", "-seed", "4", "-o", gpath); err != nil {
 		t.Fatalf("graphgen: %v\n%s", err, stderr)
 	}
-	stdout, stderr, err := run(t, "dimacolor", "-in", gpath, "-strong", "-engine", "chan", "-json", cpath)
+	stdout, stderr, err := run(t, "dimacolor", "-in", gpath, "-strong", "-engine", "shard", "-workers", "3", "-json", cpath)
 	if err != nil {
 		t.Fatalf("dimacolor -strong: %v\n%s", err, stderr)
 	}
@@ -440,6 +440,23 @@ func TestDimacolorTCPFlagValidation(t *testing.T) {
 		if code := exitCode(err); code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr: %s)", c, code, stderr)
 		}
+	}
+}
+
+// TestDimacolorRejectsChanEngine: the removed goroutine-per-vertex
+// engine is a usage error that names the engines that remain.
+func TestDimacolorRejectsChanEngine(t *testing.T) {
+	dir := t.TempDir()
+	gpath := filepath.Join(dir, "g.graph")
+	if _, _, err := run(t, "graphgen", "-family", "path", "-n", "4", "-o", gpath); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, err := run(t, "dimacolor", "-in", gpath, "-engine", "chan")
+	if code := exitCode(err); code != 2 {
+		t.Fatalf("-engine chan: exit %d, want 2 (stderr: %s)", code, stderr)
+	}
+	if !strings.Contains(stderr, "sync|shard|tcp") {
+		t.Fatalf("-engine chan: usage error does not list the engines: %s", stderr)
 	}
 }
 

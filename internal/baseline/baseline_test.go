@@ -284,7 +284,7 @@ func TestTreeWaveEngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TreeWave(g, net.RunChan)
+	b, err := TreeWave(g, shard3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,4 +293,11 @@ func TestTreeWaveEngineEquivalence(t *testing.T) {
 			t.Fatalf("engines diverged at edge %d", e)
 		}
 	}
+}
+
+// shard3 is net.RunShard pinned to 3 workers, so the cross-engine
+// checks exercise cross-shard merges on any machine.
+func shard3(g *graph.Graph, nodes []net.Node, cfg net.Config) (net.Result, error) {
+	cfg.Workers = 3
+	return net.RunShard(g, nodes, cfg)
 }

@@ -15,12 +15,14 @@ import (
 // copies) creeping back into Step or the engine. Each ceiling is the
 // count measured with go1.24 on linux/amd64 plus about 10%:
 //
-//	ColorEdges   40,525 allocs (≈12.7 per edge; 99,361 before the
-//	             per-node scratch buffers and outbox canonicalization)
-//	ColorStrong 245,884 allocs (≈38.6 per arc; 600,193 before)
+//	ColorEdges   36,655 allocs (≈11.5 per edge; 40,525 before RunSync
+//	             ran on RunShard's amortized inbox arena, 99,361 before
+//	             the per-node scratch buffers and outbox canonicalization)
+//	ColorStrong 241,604 allocs (≈37.9 per arc; 245,884 and 600,193
+//	             before the same two changes)
 const (
-	colorEdgesAllocCeiling  = 44_500
-	colorStrongAllocCeiling = 270_000
+	colorEdgesAllocCeiling  = 40_300
+	colorStrongAllocCeiling = 265_500
 )
 
 // allocGraph is the fixed input of the budgets: ER n=400, average

@@ -6,8 +6,8 @@ import (
 )
 
 // shardWorkers pins net.RunShard to a fixed worker count regardless of
-// Options.Workers, so the equivalence tests cover both the single-shard
-// layout and a multi-shard layout with cross-shard merges.
+// Options.Workers, so the equivalence tests cover multi-shard layouts
+// with cross-shard merges at more than one worker count.
 func shardWorkers(workers int) net.Engine {
 	return func(g *graph.Graph, nodes []net.Node, cfg net.Config) (net.Result, error) {
 		cfg.Workers = workers
@@ -17,13 +17,12 @@ func shardWorkers(workers int) net.Engine {
 
 // testEngines is the engine triple every cross-engine property test
 // iterates: the equivalence guarantee is that all of them replay the
-// sequential engine exactly.
+// sequential engine (RunShard's one-worker case) exactly.
 var testEngines = []struct {
 	name string
 	run  net.Engine
 }{
 	{"sync", net.RunSync},
-	{"chan", net.RunChan},
-	{"shard-1", shardWorkers(1)},
 	{"shard-3", shardWorkers(3)},
+	{"shard-7", shardWorkers(7)},
 }

@@ -171,9 +171,9 @@ func TestStressLargeGraphs(t *testing.T) {
 	}
 }
 
-// The goroutine runtime under stress with many nodes, exercising the
-// coordinator and link-channel machinery at scale.
-func TestStressChanEngine(t *testing.T) {
+// The multi-worker runtime under stress with many nodes, exercising the
+// coordinator and the cross-shard merge at scale.
+func TestStressShardEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
 	}
@@ -181,8 +181,8 @@ func TestStressChanEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := mustColorEdges(t, g, Options{Seed: 52, Engine: net.RunChan})
+	res := mustColorEdges(t, g, Options{Seed: 52, Engine: shardWorkers(3)})
 	if res.DefensiveRejects != 0 {
-		t.Fatalf("defensive rejects on chan engine: %d", res.DefensiveRejects)
+		t.Fatalf("defensive rejects on shard engine: %d", res.DefensiveRejects)
 	}
 }

@@ -124,7 +124,6 @@ func TestInboxesArriveSorted(t *testing.T) {
 				run  net.Engine
 			}{
 				{"sync", net.RunSync},
-				{"chan", net.RunChan},
 				{"shard-1", shardWorkers(1)},
 				{"shard-2", shardWorkers(2)},
 				{"shard-7", shardWorkers(7)},

@@ -36,11 +36,10 @@ func (r ColorRule) String() string {
 // the paper's color rule and overhearing filter).
 type Options struct {
 	// Seed determines every random choice of the run. Runs with equal
-	// seeds and inputs are identical, on either engine.
+	// seeds and inputs are identical, on every engine.
 	Seed uint64
-	// Engine executes the protocol; nil means net.RunSync. net.RunChan
-	// runs one goroutine per vertex; net.RunShard runs Workers shard
-	// goroutines.
+	// Engine executes the protocol; nil means net.RunSync. net.RunShard
+	// runs Workers shard goroutines.
 	Engine net.Engine
 	// Workers is the shard count passed to the engine via
 	// net.Config.Workers; 0 means GOMAXPROCS. Only net.RunShard uses it.

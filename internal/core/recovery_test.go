@@ -220,7 +220,7 @@ func (d *resurrectionDetector) count() int {
 // Every engine must therefore evaluate Done() at the same point —
 // immediately after the round's steps — or the engines disagree on the
 // termination round. The test deterministically finds a run where a
-// resurrection actually happens, then requires the chan and shard
+// resurrection actually happens, then requires the multi-worker shard
 // engines to replay the sync engine exactly on that run.
 func TestRecoveryDoneResurrectionEnginesAgree(t *testing.T) {
 	// Resurrections need heavy sustained loss: lighter rates repair

@@ -81,7 +81,7 @@ func assertValid(t *testing.T, rc *Recolorer) {
 }
 
 // TestRecolorerPropertyChurn is the subsystem's central property test:
-// across all three engines, with and without the recovery layer, any
+// on the sync and shard engines, with and without the recovery layer, any
 // random mutation sequence leaves the incrementally maintained coloring
 // passing the same verify predicate as a cold full recolor of the
 // mutated graph.
@@ -89,7 +89,7 @@ func TestRecolorerPropertyChurn(t *testing.T) {
 	engines := []struct {
 		name string
 		e    net.Engine
-	}{{"sync", net.RunSync}, {"chan", net.RunChan}, {"shard", net.RunShard}}
+	}{{"sync", net.RunSync}, {"shard", net.RunShard}}
 	for _, eng := range engines {
 		for _, recovery := range []bool{false, true} {
 			name := eng.name

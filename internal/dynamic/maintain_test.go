@@ -67,7 +67,7 @@ func TestMaintainProperty(t *testing.T) {
 	engines := []struct {
 		name string
 		e    net.Engine
-	}{{"sync", net.RunSync}, {"chan", net.RunChan}, {"shard", net.RunShard}}
+	}{{"sync", net.RunSync}, {"shard", net.RunShard}}
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			copt := core.Options{Seed: 5, Engine: eng.e, Workers: 3}

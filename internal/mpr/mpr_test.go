@@ -82,7 +82,7 @@ func TestDeterministicAndEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mustColor(t, g, Options{Seed: 7, Engine: net.RunSync})
-	b := mustColor(t, g, Options{Seed: 7, Engine: net.RunChan})
+	b := mustColor(t, g, Options{Seed: 7, Engine: shard3})
 	if a.Rounds != b.Rounds || a.Messages != b.Messages {
 		t.Fatalf("engines diverged: %d/%d rounds, %d/%d msgs", a.Rounds, b.Rounds, a.Messages, b.Messages)
 	}
@@ -136,4 +136,11 @@ func TestQuickAlwaysValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// shard3 is net.RunShard pinned to 3 workers, so the cross-engine
+// checks exercise cross-shard merges on any machine.
+func shard3(g *graph.Graph, nodes []net.Node, cfg net.Config) (net.Result, error) {
+	cfg.Workers = 3
+	return net.RunShard(g, nodes, cfg)
 }

@@ -63,24 +63,24 @@ func DecodeWorkerHello(buf []byte) (WorkerHello, error) {
 	if v := buf[4]; v != WorkerHandshakeVersion {
 		return h, fmt.Errorf("msg: worker handshake version %d, want %d", v, WorkerHandshakeVersion)
 	}
-	dec := dec{buf: buf[5:]}
-	name := dec.lenBytes("worker name")
-	if dec.err == nil && len(name) > maxWorkerName {
+	dec := Cursor{Buf: buf[5:]}
+	name := dec.LenBytes("worker name")
+	if dec.Err == nil && len(name) > maxWorkerName {
 		return h, fmt.Errorf("msg: worker name of %d bytes exceeds the %d-byte bound", len(name), maxWorkerName)
 	}
-	capacity := dec.uvarint("worker capacity")
-	if dec.err != nil {
-		return h, dec.err
+	capacity := dec.Uvarint("worker capacity")
+	if dec.Err != nil {
+		return h, dec.Err
 	}
 	if capacity > 1<<20 {
 		return h, fmt.Errorf("msg: implausible worker capacity %d", capacity)
 	}
-	if len(dec.buf) != 8 {
-		return h, fmt.Errorf("msg: worker handshake token wants 8 bytes, %d remain", len(dec.buf))
+	if len(dec.Buf) != 8 {
+		return h, fmt.Errorf("msg: worker handshake token wants 8 bytes, %d remain", len(dec.Buf))
 	}
 	h.Name = string(name)
 	h.Capacity = int(capacity)
-	h.Token = binary.BigEndian.Uint64(dec.buf)
+	h.Token = binary.BigEndian.Uint64(dec.Buf)
 	return h, nil
 }
 
@@ -102,11 +102,11 @@ func (w WorkerWelcome) Append(buf []byte) []byte {
 // DecodeWorkerWelcome parses a welcome strictly.
 func DecodeWorkerWelcome(buf []byte) (WorkerWelcome, error) {
 	var w WorkerWelcome
-	dec := dec{buf: buf}
-	id := dec.lenBytes("worker id")
-	hb := dec.uvarint("heartbeat interval")
-	if dec.err != nil {
-		return w, dec.err
+	dec := Cursor{Buf: buf}
+	id := dec.LenBytes("worker id")
+	hb := dec.Uvarint("heartbeat interval")
+	if dec.Err != nil {
+		return w, dec.Err
 	}
 	if len(id) > maxWorkerName {
 		return w, fmt.Errorf("msg: worker id of %d bytes exceeds the %d-byte bound", len(id), maxWorkerName)
@@ -114,8 +114,8 @@ func DecodeWorkerWelcome(buf []byte) (WorkerWelcome, error) {
 	if hb == 0 || hb > 1<<31 {
 		return w, fmt.Errorf("msg: implausible heartbeat interval %dms", hb)
 	}
-	if len(dec.buf) != 0 {
-		return w, fmt.Errorf("msg: %d trailing bytes after worker welcome", len(dec.buf))
+	if len(dec.Buf) != 0 {
+		return w, fmt.Errorf("msg: %d trailing bytes after worker welcome", len(dec.Buf))
 	}
 	w.ID = string(id)
 	w.HeartbeatMillis = int(hb)
@@ -140,17 +140,17 @@ func (hb Heartbeat) Append(buf []byte) []byte {
 // DecodeHeartbeat parses a heartbeat strictly.
 func DecodeHeartbeat(buf []byte) (Heartbeat, error) {
 	var hb Heartbeat
-	dec := dec{buf: buf}
-	running := dec.uvarint("heartbeat running count")
-	queued := dec.uvarint("heartbeat queued count")
-	if dec.err != nil {
-		return hb, dec.err
+	dec := Cursor{Buf: buf}
+	running := dec.Uvarint("heartbeat running count")
+	queued := dec.Uvarint("heartbeat queued count")
+	if dec.Err != nil {
+		return hb, dec.Err
 	}
 	if running > 1<<31 || queued > 1<<31 {
 		return hb, fmt.Errorf("msg: implausible heartbeat load %d/%d", running, queued)
 	}
-	if len(dec.buf) != 0 {
-		return hb, fmt.Errorf("msg: %d trailing bytes after heartbeat", len(dec.buf))
+	if len(dec.Buf) != 0 {
+		return hb, fmt.Errorf("msg: %d trailing bytes after heartbeat", len(dec.Buf))
 	}
 	hb.Running = int(running)
 	hb.Queued = int(queued)
@@ -208,26 +208,26 @@ func (j JobHeader) Append(buf []byte) []byte {
 // the unconsumed tail (the graph section).
 func DecodeJobHeader(buf []byte) (JobHeader, []byte, error) {
 	var j JobHeader
-	dec := dec{buf: buf}
-	id := dec.lenBytes("job id")
-	if dec.err == nil && len(id) > maxJobID {
+	dec := Cursor{Buf: buf}
+	id := dec.LenBytes("job id")
+	if dec.Err == nil && len(id) > maxJobID {
 		return j, nil, fmt.Errorf("msg: job id of %d bytes exceeds the %d-byte bound", len(id), maxJobID)
 	}
-	flags := dec.byte("job flags")
-	if dec.err != nil {
-		return j, nil, dec.err
+	flags := dec.Byte("job flags")
+	if dec.Err != nil {
+		return j, nil, dec.Err
 	}
 	if flags&^byte(jobFlagStrong|jobFlagRecovery) != 0 {
 		return j, nil, fmt.Errorf("msg: unknown job flag bits %#x", flags)
 	}
-	if len(dec.buf) < 8 {
+	if len(dec.Buf) < 8 {
 		return j, nil, fmt.Errorf("msg: truncated job seed")
 	}
-	j.Seed = binary.BigEndian.Uint64(dec.buf[:8])
-	dec.buf = dec.buf[8:]
-	maxRounds := dec.uvarint("job max rounds")
-	if dec.err != nil {
-		return j, nil, dec.err
+	j.Seed = binary.BigEndian.Uint64(dec.Buf[:8])
+	dec.Buf = dec.Buf[8:]
+	maxRounds := dec.Uvarint("job max rounds")
+	if dec.Err != nil {
+		return j, nil, dec.Err
 	}
 	if maxRounds > 1<<31 {
 		return j, nil, fmt.Errorf("msg: implausible job round cap %d", maxRounds)
@@ -236,7 +236,7 @@ func DecodeJobHeader(buf []byte) (JobHeader, []byte, error) {
 	j.Strong = flags&jobFlagStrong != 0
 	j.Recovery = flags&jobFlagRecovery != 0
 	j.MaxRounds = int(maxRounds)
-	return j, dec.buf, nil
+	return j, dec.Buf, nil
 }
 
 // AppendJobBlob appends the common "job id + opaque payload" section
@@ -250,61 +250,13 @@ func AppendJobBlob(buf []byte, id string, blob []byte) []byte {
 // DecodeJobBlob splits a job frame payload into its id and the
 // remaining blob. The blob aliases buf.
 func DecodeJobBlob(buf []byte) (string, []byte, error) {
-	dec := dec{buf: buf}
-	id := dec.lenBytes("job id")
-	if dec.err != nil {
-		return "", nil, dec.err
+	dec := Cursor{Buf: buf}
+	id := dec.LenBytes("job id")
+	if dec.Err != nil {
+		return "", nil, dec.Err
 	}
 	if len(id) > maxJobID {
 		return "", nil, fmt.Errorf("msg: job id of %d bytes exceeds the %d-byte bound", len(id), maxJobID)
 	}
-	return string(id), dec.buf, nil
-}
-
-// dec is a cursor over a payload that latches the first decode error,
-// keeping multi-field parsers linear (the cluster twin of internal/
-// net's wireDec).
-type dec struct {
-	buf []byte
-	err error
-}
-
-func (d *dec) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("msg: truncated %s", what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *dec) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = fmt.Errorf("msg: truncated %s", what)
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *dec) lenBytes(what string) []byte {
-	n := d.uvarint(what + " length")
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("msg: %s of %d bytes exceeds the %d remaining", what, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
+	return string(id), dec.Buf, nil
 }

@@ -221,3 +221,58 @@ func DecodeHello(buf []byte) (Hello, error) {
 	h.Token = binary.BigEndian.Uint64(buf[pos:])
 	return h, nil
 }
+
+// Cursor reads a frame payload front to back and latches the first
+// decode error, keeping multi-field parsers linear instead of nested:
+// once Err is set, every read returns the zero value. Buf is the unread
+// rest of the payload; a section decoded by other means (Decode, a
+// fixed-width field) is consumed by reslicing Buf. Callers stay strict
+// by checking Err and len(Buf) themselves.
+type Cursor struct {
+	Buf []byte
+	Err error
+}
+
+// Uvarint reads one uvarint; what names the field in the error.
+func (d *Cursor) Uvarint(what string) uint64 {
+	if d.Err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.Buf)
+	if n <= 0 {
+		d.Err = fmt.Errorf("msg: truncated %s", what)
+		return 0
+	}
+	d.Buf = d.Buf[n:]
+	return v
+}
+
+// Byte reads one byte.
+func (d *Cursor) Byte(what string) byte {
+	if d.Err != nil {
+		return 0
+	}
+	if len(d.Buf) == 0 {
+		d.Err = fmt.Errorf("msg: truncated %s", what)
+		return 0
+	}
+	b := d.Buf[0]
+	d.Buf = d.Buf[1:]
+	return b
+}
+
+// LenBytes reads a uvarint length and that many bytes, which alias the
+// payload.
+func (d *Cursor) LenBytes(what string) []byte {
+	n := d.Uvarint(what + " length")
+	if d.Err != nil {
+		return nil
+	}
+	if n > uint64(len(d.Buf)) {
+		d.Err = fmt.Errorf("msg: %s of %d bytes exceeds the %d remaining", what, n, len(d.Buf))
+		return nil
+	}
+	b := d.Buf[:n]
+	d.Buf = d.Buf[n:]
+	return b
+}

@@ -3,11 +3,10 @@ package msg
 import "math/bits"
 
 // Sort sorts msgs in place into the canonical Less order, the order in
-// which every engine hands a node its inbox. RunChan sorts each inbox
-// with it, because its arrival order is nondeterministic. RunSync,
-// RunShard and the tcp engine instead sort a copy of each outbox that
-// is not already in order (see IsSorted): they deliver in ascending
-// sender id, so sorted outboxes yield sorted inboxes.
+// which every engine hands a node its inbox. The engines never sort an
+// inbox: they sort a copy of each outbox that is not already in order
+// (see IsSorted) and deliver in ascending sender id, so sorted outboxes
+// yield sorted inboxes.
 //
 // The implementation is specialized to []Message — no reflection, no
 // interface dispatch — because it sits on a hot path. Batches are short

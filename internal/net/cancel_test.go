@@ -38,20 +38,18 @@ func chatterNodes(n, lifetime int) []Node {
 	return nodes
 }
 
-// ctxEngines maps each engine to its Ctx entry point, covering both the
-// wrapper and the Config.Ctx plumbing underneath.
+// ctxEngines maps each engine to a run canceled through Config.Ctx.
 func ctxEngines() map[string]func(ctx context.Context, cfg Config) (Result, error) {
 	g := gen.Cycle(8)
 	return map[string]func(ctx context.Context, cfg Config) (Result, error){
 		"sync": func(ctx context.Context, cfg Config) (Result, error) {
-			return RunSyncCtx(ctx, g, chatterNodes(8, 20), cfg)
-		},
-		"chan": func(ctx context.Context, cfg Config) (Result, error) {
-			return RunChanCtx(ctx, g, chatterNodes(8, 20), cfg)
+			cfg.Ctx = ctx
+			return RunSync(g, chatterNodes(8, 20), cfg)
 		},
 		"shard": func(ctx context.Context, cfg Config) (Result, error) {
+			cfg.Ctx = ctx
 			cfg.Workers = 3
-			return RunShardCtx(ctx, g, chatterNodes(8, 20), cfg)
+			return RunShard(g, chatterNodes(8, 20), cfg)
 		},
 	}
 }
@@ -79,7 +77,7 @@ func TestCancelBeforeStartAbortsImmediately(t *testing.T) {
 func TestCancelMidRunIdenticalAcrossEngines(t *testing.T) {
 	const cancelRound = 5
 	var want Result
-	for i, name := range []string{"sync", "chan", "shard"} {
+	for i, name := range []string{"sync", "shard"} {
 		run := ctxEngines()[name]
 		ctx, cancel := context.WithCancel(context.Background())
 		res, err := run(ctx, Config{Observe: func(rt RoundTraffic) {
@@ -114,7 +112,7 @@ func TestCancelAfterDoneReportsTerminated(t *testing.T) {
 	// Terminated wins and Aborted stays false (they are exclusive).
 	const lifetime = 6
 	g := gen.Cycle(8)
-	for name, engine := range map[string]Engine{"sync": RunSync, "chan": RunChan, "shard": RunShard} {
+	for name, engine := range map[string]Engine{"sync": RunSync, "shard": RunShard} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := Config{Ctx: ctx, Observe: func(rt RoundTraffic) {
 			if rt.Round == lifetime {
@@ -133,25 +131,12 @@ func TestCancelAfterDoneReportsTerminated(t *testing.T) {
 }
 
 func TestContextlessRunsUnchanged(t *testing.T) {
-	// The Ctx-less entry points must stay byte-identical to the Ctx
-	// variants under a background context.
+	// Runs without a Ctx must stay byte-identical to runs under a
+	// background context.
 	g := gen.Cycle(8)
-	for name, pair := range map[string][2]func() (Result, error){
-		"sync": {
-			func() (Result, error) { return RunSync(g, chatterNodes(8, 10), Config{}) },
-			func() (Result, error) { return RunSyncCtx(context.Background(), g, chatterNodes(8, 10), Config{}) },
-		},
-		"chan": {
-			func() (Result, error) { return RunChan(g, chatterNodes(8, 10), Config{}) },
-			func() (Result, error) { return RunChanCtx(context.Background(), g, chatterNodes(8, 10), Config{}) },
-		},
-		"shard": {
-			func() (Result, error) { return RunShard(g, chatterNodes(8, 10), Config{}) },
-			func() (Result, error) { return RunShardCtx(context.Background(), g, chatterNodes(8, 10), Config{}) },
-		},
-	} {
-		plain, err1 := pair[0]()
-		withCtx, err2 := pair[1]()
+	for name, engine := range map[string]Engine{"sync": RunSync, "shard": RunShard} {
+		plain, err1 := engine(g, chatterNodes(8, 10), Config{})
+		withCtx, err2 := engine(g, chatterNodes(8, 10), Config{Ctx: context.Background()})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", name, err1, err2)
 		}
@@ -164,18 +149,16 @@ func TestContextlessRunsUnchanged(t *testing.T) {
 	}
 }
 
-// TestCancelLeaksNoGoroutines proves a canceled run tears its node and
-// worker goroutines down: after cancel, the goroutine count returns to
-// its baseline.
+// TestCancelLeaksNoGoroutines proves a canceled run tears its worker
+// goroutines down: after cancel, the goroutine count returns to its
+// baseline.
 func TestCancelLeaksNoGoroutines(t *testing.T) {
 	g := gen.Cycle(64)
 	for name, run := range map[string]func(ctx context.Context, cfg Config) (Result, error){
-		"chan": func(ctx context.Context, cfg Config) (Result, error) {
-			return RunChanCtx(ctx, g, chatterNodes(64, 1000), cfg)
-		},
 		"shard": func(ctx context.Context, cfg Config) (Result, error) {
+			cfg.Ctx = ctx
 			cfg.Workers = 4
-			return RunShardCtx(ctx, g, chatterNodes(64, 1000), cfg)
+			return RunShard(g, chatterNodes(64, 1000), cfg)
 		},
 	} {
 		runtime.GC()

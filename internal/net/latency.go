@@ -7,12 +7,12 @@ import (
 	"dima/internal/rng"
 )
 
-// The batch-per-round discipline of RunChan is exactly an α-synchronizer
-// over a reliable asynchronous network: a node advances to round r+1
-// the moment it holds all of its neighbors' round-r batches. Under that
-// discipline, the wall-clock completion time of a synchronous protocol
-// over links with heterogeneous delays is determined by a critical path,
-// not by (rounds × slowest link). LatencyModel computes it.
+// Run over a reliable asynchronous network, a synchronous protocol needs
+// an α-synchronizer: a node advances to round r+1 the moment it holds
+// all of its neighbors' round-r messages. Under that discipline, the
+// wall-clock completion time over links with heterogeneous delays is
+// determined by a critical path, not by (rounds × slowest link).
+// Makespan computes it for a LatencyModel.
 
 // LatencyModel assigns a fixed positive delay to each directed link.
 type LatencyModel interface {

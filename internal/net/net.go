@@ -3,16 +3,14 @@
 // rounds, each vertex is a compute node, and every message a node sends
 // in a round is heard by all of its neighbors (local broadcast).
 //
-// Four interchangeable engines execute the same Node protocol logic:
+// One in-process round kernel and one multi-process engine execute the
+// same Node protocol logic:
 //
-//   - RunSync: a deterministic sequential scheduler, used by tests,
-//     benchmarks, and experiments for speed and reproducibility.
-//   - RunChan: a goroutine per node with channels as links, synchronized
-//     by the batch-per-round discipline — the natural Go embodiment of
-//     the message-passing model.
 //   - RunShard: Config.Workers goroutines, each owning a contiguous
-//     vertex shard, with a deterministic two-phase merge barrier — the
-//     scale engine for million-vertex graphs.
+//     vertex shard, with a deterministic two-phase merge barrier. With
+//     one worker it runs entirely on the calling goroutine.
+//   - RunSync: RunShard with one worker — the deterministic sequential
+//     scheduler used by tests, benchmarks, and experiments.
 //   - RunTCP (TCPCluster.Engine): vertex shards stepped in separate OS
 //     processes, with a coordinator routing every round's traffic over
 //     TCP.
@@ -42,14 +40,12 @@ type Node interface {
 	// msg.Less. The returned messages are locally broadcast: delivered
 	// to every neighbor at the next round. Each must carry From == ID().
 	//
-	// How the inbox comes to be sorted: RunSync, RunShard and the tcp
-	// engine put each returned outbox into msg.Less order when it is
+	// How the inbox comes to be sorted: RunShard (hence RunSync) and the
+	// tcp engine put each returned outbox into msg.Less order when it is
 	// emitted (sorting a copy when the node's order differs) and append
 	// deliveries in ascending sender id. Since Less orders by From
 	// first, every inbox arrives sorted without a per-delivery sort.
-	// RunChan, whose arrival order is nondeterministic, sorts each
-	// inbox instead. Emitting messages already in Less order saves the
-	// copy.
+	// Emitting messages already in Less order saves the copy.
 	//
 	// The inbox slice is owned by the engine and reused across rounds:
 	// implementations may copy Message values out of it but must not
@@ -80,8 +76,7 @@ type Config struct {
 	// Ctx, when non-nil, allows abandoning the run: every engine checks
 	// it once per communication round, at the round barrier, and returns
 	// the partial Result accumulated so far with Aborted set. Nil means
-	// context.Background() (never canceled). The RunSyncCtx/RunChanCtx/
-	// RunShardCtx wrappers populate it; rounds executed before the
+	// context.Background() (never canceled). Rounds executed before the
 	// cancellation are byte-identical to an uncanceled run.
 	Ctx context.Context
 	// Fault optionally drops deliveries. Nil means reliable delivery.
@@ -89,21 +84,23 @@ type Config struct {
 	// Observe, when non-nil, receives one RoundTraffic per communication
 	// round (see RoundObserver). Nil skips all per-round accounting.
 	Observe RoundObserver
-	// Workers is the number of shard goroutines RunShard uses; 0 means
-	// runtime.GOMAXPROCS(0). RunSync and RunChan ignore it.
+	// Workers is the number of vertex shards RunShard steps in
+	// parallel; 0 means runtime.GOMAXPROCS(0). With one worker RunShard
+	// spawns no goroutine. RunSync forces 1; the tcp engine ignores it.
 	Workers int
-	// ShardStats, when non-nil, is filled by RunShard with internal
-	// hot-path counters (buffered delivery records, merge-phase bucket
-	// activity). Purely observational — the counters never influence the
-	// execution — and ignored by the other engines.
+	// ShardStats, when non-nil, is filled by RunShard and RunSync with
+	// internal hot-path counters (buffered delivery records, merge-phase
+	// bucket activity). Purely observational — the counters never
+	// influence the execution — and ignored by the tcp engine.
 	ShardStats *ShardStats
 }
 
-// ShardStats reports internal counters of one RunShard execution. The
-// interesting ratio is Records / Result.Messages: on the reliable fast
-// path the engine buffers one record per (message, destination shard)
-// rather than one per delivery, so the ratio is bounded by the worker
-// count instead of the average degree (Result.Deliveries / Messages).
+// ShardStats reports internal counters of one RunShard (or RunSync)
+// execution. The interesting ratio is Records / Result.Messages: on the
+// reliable fast path the engine buffers one record per (message,
+// destination shard) rather than one per delivery, so the ratio is
+// bounded by the worker count instead of the average degree
+// (Result.Deliveries / Messages).
 type ShardStats struct {
 	// Workers is the resolved worker count (after clamping to [1, N]).
 	Workers int
@@ -128,9 +125,9 @@ type KindTraffic struct {
 }
 
 // RoundTraffic is one communication round's traffic snapshot. Traffic
-// is attributed to the round in which the message was *sent* — both
-// engines agree on this, so for deterministic nodes the per-round
-// streams are identical between RunSync and RunChan.
+// is attributed to the round in which the message was *sent* — every
+// engine agrees on this, so for deterministic nodes the per-round
+// streams are identical across engines and worker counts.
 type RoundTraffic struct {
 	// Round is the 0-based communication round.
 	Round int
@@ -142,8 +139,8 @@ type RoundTraffic struct {
 	Kinds [msg.KindCount]KindTraffic
 }
 
-// RoundObserver receives per-round traffic. Both engines invoke it from
-// their coordinating goroutine, sequentially and in round order, after
+// RoundObserver receives per-round traffic. Every engine invokes it from
+// its coordinating goroutine, sequentially and in round order, after
 // every node has executed the round.
 type RoundObserver func(RoundTraffic)
 
@@ -170,9 +167,10 @@ type Result struct {
 	Aborted bool
 }
 
-// Engine runs a protocol over a topology; RunSync, RunChan, and
-// RunShard satisfy it. Cancellation rides in Config.Ctx so that code
-// holding an Engine value needs no second signature.
+// Engine runs a protocol over a topology; RunSync, RunShard and the
+// engines TCPCluster.Engine returns satisfy it. Cancellation rides in
+// Config.Ctx so that code holding an Engine value needs no second
+// signature.
 type Engine func(g *graph.Graph, nodes []Node, cfg Config) (Result, error)
 
 // ctx returns the run's context, defaulting to Background.
@@ -233,89 +231,10 @@ func allDone(nodes []Node) bool {
 	return true
 }
 
-// RunSyncCtx is RunSync with an explicit context: the run stops at the
-// next round barrier after ctx is canceled and returns the partial
-// Result with Aborted set.
-func RunSyncCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
-	cfg.Ctx = ctx
-	return RunSync(g, nodes, cfg)
-}
-
 // RunSync executes the protocol with a deterministic sequential
-// scheduler: one goroutine, vertices stepped in id order each round.
+// scheduler: RunShard with one worker, so every vertex steps in id
+// order on the calling goroutine. cfg.Workers is ignored.
 func RunSync(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
-	if err := validate(g, nodes); err != nil {
-		return Result{}, err
-	}
-	ctx := cfg.ctx()
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = defaultMaxRounds
-	}
-	var res Result
-	// Double-buffered inboxes: the current round's inboxes are consumed
-	// while the next round's fill, then the buffers swap and truncate.
-	// Message values are structs, so nodes copying them out of a reused
-	// slice stay valid. Vertices step in ascending id and their outboxes
-	// are canonicalized, so each inbox fills in msg.Less order.
-	inboxes := make([][]msg.Message, g.N())
-	next := make([][]msg.Message, g.N())
-	var sorted []msg.Message
-	if allDone(nodes) {
-		res.Terminated = true
-		return res, nil
-	}
-	if canceled(ctx) {
-		res.Aborted = true
-		return res, nil
-	}
-	for round := 0; round < maxRounds; round++ {
-		var rt RoundTraffic
-		for u := 0; u < g.N(); u++ {
-			out := canonicalOutbox(nodes[u].Step(round, inboxes[u]), &sorted)
-			for _, m := range out {
-				sz := int64(m.Size())
-				res.Messages++
-				res.Bytes += sz
-				var delivered int64
-				for _, v := range g.Neighbors(u) {
-					if cfg.Fault != nil && cfg.Fault.Drop(round, m, v) {
-						continue
-					}
-					next[v] = append(next[v], m)
-					delivered++
-				}
-				res.Deliveries += delivered
-				if cfg.Observe != nil {
-					k := &rt.Kinds[m.Kind]
-					k.Messages++
-					k.Bytes += sz
-					k.Deliveries += delivered
-				}
-			}
-		}
-		if cfg.Observe != nil {
-			rt.Round = round
-			for _, k := range rt.Kinds {
-				rt.Messages += k.Messages
-				rt.Deliveries += k.Deliveries
-				rt.Bytes += k.Bytes
-			}
-			cfg.Observe(rt)
-		}
-		inboxes, next = next, inboxes
-		for u := range next {
-			next[u] = next[u][:0]
-		}
-		res.Rounds = round + 1
-		if allDone(nodes) {
-			res.Terminated = true
-			return res, nil
-		}
-		if canceled(ctx) {
-			res.Aborted = true
-			return res, nil
-		}
-	}
-	return res, nil
+	cfg.Workers = 1
+	return RunShard(g, nodes, cfg)
 }

@@ -56,7 +56,6 @@ func shardWith(workers int) Engine {
 func engines() map[string]Engine {
 	return map[string]Engine{
 		"sync":    RunSync,
-		"chan":    RunChan,
 		"shard":   RunShard,
 		"shard-1": shardWith(1),
 		"shard-3": shardWith(3),

@@ -154,7 +154,6 @@ func TestReverseOutboxAllEnginesAgree(t *testing.T) {
 		run  net.Engine
 	}{
 		{"sync", net.RunSync},
-		{"chan", net.RunChan},
 		{"shard-1", shard(1)},
 		{"shard-2", shard(2)},
 		{"shard-7", shard(7)},

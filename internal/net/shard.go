@@ -1,19 +1,17 @@
 package net
 
 import (
-	"context"
 	"runtime"
+	"slices"
+	"sync"
 
 	"dima/internal/graph"
 	"dima/internal/msg"
 )
 
-// Worker commands, sent on a shard's cmd channel. Values >= 0 mean
-// "step this round"; the negative values select the other phases.
-const (
-	cmdMerge = -1
-	cmdStop  = -2
-)
+// cmdMerge is the phase command for the merge phase; commands >= 0
+// mean "step this round".
+const cmdMerge = -1
 
 // shardDelivery is one delivery record buffered between the step and
 // merge phases. On the reliable fast path one record covers a whole
@@ -28,12 +26,14 @@ type shardDelivery struct {
 	m      msg.Message
 }
 
-// shardStatus is one worker's end-of-step report: the shared nodeStatus
-// fields the coordinator folds into Result/RoundTraffic, plus the
-// count of delivery records the worker buffered this round.
+// shardStatus is one worker's end-of-step report: its shard's done
+// verdict and the traffic it generated this round, which the
+// coordinator folds into Result/RoundTraffic in shard order.
 type shardStatus struct {
-	nodeStatus
-	records int64
+	done                                 bool
+	messages, deliveries, bytes, records int64
+	// kinds is filled only when the run has a RoundObserver.
+	kinds [msg.KindCount]KindTraffic
 }
 
 // shardInbox is one shard's inbox arena: the messages of every vertex
@@ -113,21 +113,12 @@ func buildShardSegments(g *graph.Graph, owner []int32, workers int) shardSegment
 	return ss
 }
 
-// RunShardCtx is RunShard with an explicit context: the coordinator
-// stops the run at the next round barrier after ctx is canceled,
-// releases every worker goroutine, and returns the partial Result with
-// Aborted set.
-func RunShardCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
-	cfg.Ctx = ctx
-	return RunShard(g, nodes, cfg)
-}
-
 // RunShard executes the protocol with cfg.Workers goroutines, each
-// owning a contiguous shard of the vertex range. It is the scale
-// engine: where RunChan spends a goroutine and a channel per vertex,
-// RunShard's costs grow with Workers, so million-vertex graphs run
-// without collapsing under scheduler pressure, and on multi-core
-// machines the per-round work parallelizes across the shards.
+// owning a contiguous shard of the vertex range; its costs grow with
+// Workers rather than with the vertex count, and on multi-core
+// machines the per-round work parallelizes across the shards. With one
+// worker both phases run on the calling goroutine: no goroutine is
+// spawned and no channel is touched, which is RunSync.
 //
 // Each round has two barrier-separated phases:
 //
@@ -145,10 +136,10 @@ func RunShardCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) 
 //     expanding each record to the sender's neighbors inside this
 //     shard. Within one sender shard the records are already in sender
 //     id order (workers step in id order), so each inbox fills in
-//     ascending sender id — exactly the append order RunSync produces.
-//     With canonical outboxes that is msg.Less order, and the identical
-//     inboxes make the executions byte-identical: same final colorings,
-//     same Result, same per-round RoundTraffic stream, for any Workers.
+//     ascending sender id, whatever the worker count. With canonical
+//     outboxes that is msg.Less order, and the identical inboxes make
+//     the executions byte-identical: same final colorings, same Result,
+//     same per-round RoundTraffic stream, for any Workers.
 //
 // The coordinator folds worker statistics in shard order between the
 // phases and invokes cfg.Observe sequentially in round order, matching
@@ -157,7 +148,7 @@ func RunShardCtx(ctx context.Context, g *graph.Graph, nodes []Node, cfg Config) 
 // cfg.Fault, when non-nil, is called concurrently from all workers and
 // must be safe for concurrent use; the injectors in this package are
 // stateless hashes and qualify. Stateful injectors that are sensitive
-// to call order (e.g. consuming a shared RNG) only reproduce RunSync
+// to call order (e.g. consuming a shared RNG) reproduce RunSync only
 // under Workers == 1.
 func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 	if err := validate(g, nodes); err != nil {
@@ -230,166 +221,177 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 
 	observing := cfg.Observe != nil
 	stats := make([]shardStatus, workers)
-	cmd := make([]chan int, workers)
-	rep := make([]chan struct{}, workers)
-	for s := 0; s < workers; s++ {
-		cmd[s] = make(chan int, 1)
-		rep[s] = make(chan struct{}, 1)
-	}
 
+	// phase[s] runs shard s's part of one command: the step phase of
+	// round c when c >= 0, the merge phase when c == cmdMerge.
+	phase := make([]func(c int), workers)
 	for s := 0; s < workers; s++ {
-		go func(s int) {
-			lo, hi := bounds[s], bounds[s+1]
-			size := hi - lo
-			// Double-buffered inbox arenas plus the counting scratch,
-			// all worker-local: the only cross-worker traffic is the
-			// out buckets, synchronized by the phase barriers.
-			cur := shardInbox{off: make([]int32, size+1)}
-			nxt := shardInbox{off: make([]int32, size+1)}
-			cnt := make([]int32, size)
-			myOut := out[s]
-			var tl []int32
-			var sorted []msg.Message
-			for {
-				c := <-cmd[s]
-				switch {
-				case c >= 0: // step phase for round c
-					var st shardStatus
-					st.done = true
-					for _, d := range tl {
-						myOut[d] = myOut[d][:0]
+		lo, hi := bounds[s], bounds[s+1]
+		size := hi - lo
+		// Double-buffered inbox arenas plus the counting scratch, all
+		// shard-local: the only cross-shard traffic is the out buckets,
+		// synchronized by the phase barriers.
+		cur := shardInbox{off: make([]int32, size+1)}
+		nxt := shardInbox{off: make([]int32, size+1)}
+		cnt := make([]int32, size)
+		myOut := out[s]
+		var tl []int32
+		var sorted []msg.Message
+		phase[s] = func(c int) {
+			if c >= 0 { // step phase for round c
+				var st shardStatus
+				st.done = true
+				for _, d := range tl {
+					myOut[d] = myOut[d][:0]
+				}
+				tl = tl[:0]
+				for u := lo; u < hi; u++ {
+					inbox := cur.buf[cur.off[u-lo]:cur.off[u-lo+1]]
+					msgs := canonicalOutbox(nodes[u].Step(c, inbox), &sorted)
+					if len(msgs) == 0 {
+						continue
 					}
-					tl = tl[:0]
-					for u := lo; u < hi; u++ {
-						inbox := cur.buf[cur.off[u-lo]:cur.off[u-lo+1]]
-						msgs := canonicalOutbox(nodes[u].Step(c, inbox), &sorted)
-						if len(msgs) == 0 {
-							continue
-						}
-						st.messages += int64(len(msgs))
-						if expand {
-							deg := int64(g.Degree(u))
-							usegs := segs.segs[segs.segOf[u]:segs.segOf[u+1]]
-							for _, m := range msgs {
-								sz := int64(m.Size())
-								st.bytes += sz
-								st.deliveries += deg
-								st.records += int64(len(usegs))
-								for _, sg := range usegs {
-									if len(myOut[sg.dst]) == 0 {
-										tl = append(tl, sg.dst)
-									}
-									myOut[sg.dst] = append(myOut[sg.dst], shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
+					st.messages += int64(len(msgs))
+					if expand {
+						deg := int64(g.Degree(u))
+						usegs := segs.segs[segs.segOf[u]:segs.segOf[u+1]]
+						for _, m := range msgs {
+							sz := int64(m.Size())
+							st.bytes += sz
+							st.deliveries += deg
+							st.records += int64(len(usegs))
+							for _, sg := range usegs {
+								if len(myOut[sg.dst]) == 0 {
+									tl = append(tl, sg.dst)
 								}
-								if observing {
-									k := &st.kinds[m.Kind]
-									k.Messages++
-									k.Bytes += sz
-									k.Deliveries += deg
-								}
+								myOut[sg.dst] = append(myOut[sg.dst], shardDelivery{lo: sg.lo, hi: sg.hi, m: m})
 							}
-						} else {
-							for _, m := range msgs {
-								sz := int64(m.Size())
-								st.bytes += sz
-								var delivered int64
-								for _, v := range g.Neighbors(u) {
-									if cfg.Fault.Drop(c, m, v) {
-										continue
-									}
-									d := owner[v]
-									if len(myOut[d]) == 0 {
-										tl = append(tl, d)
-									}
-									myOut[d] = append(myOut[d], shardDelivery{lo: int32(v), m: m})
-									delivered++
-								}
-								st.deliveries += delivered
-								st.records += delivered
-								if observing {
-									k := &st.kinds[m.Kind]
-									k.Messages++
-									k.Bytes += sz
-									k.Deliveries += delivered
-								}
+							if observing {
+								k := &st.kinds[m.Kind]
+								k.Messages++
+								k.Bytes += sz
+								k.Deliveries += deg
 							}
 						}
-					}
-					// Done is evaluated here, after the shard's steps and
-					// before any next-round delivery — the same evaluation
-					// point as RunSync.
-					for u := lo; u < hi && st.done; u++ {
-						st.done = nodes[u].Done()
-					}
-					stats[s] = st
-					touched[s] = tl
-					rep[s] <- struct{}{}
-				case c == cmdMerge:
-					// Two passes over this shard's incoming records: count
-					// per-vertex arrivals, prefix-sum into the offset
-					// table, then place messages — a dense arena fill with
-					// no per-vertex slice bookkeeping.
-					for i := range cnt {
-						cnt[i] = 0
-					}
-					total := int32(0)
-					for _, src := range srcLists[s] {
-						for _, rec := range out[src][s] {
-							if expand {
-								for _, v := range segs.flat[rec.lo:rec.hi] {
-									cnt[v-int32(lo)]++
-								}
-								total += rec.hi - rec.lo
-							} else {
-								cnt[rec.lo-int32(lo)]++
-								total++
-							}
-						}
-					}
-					nxt.off[0] = 0
-					for i := 0; i < size; i++ {
-						nxt.off[i+1] = nxt.off[i] + cnt[i]
-					}
-					if cap(nxt.buf) < int(total) {
-						nxt.buf = make([]msg.Message, total)
 					} else {
-						nxt.buf = nxt.buf[:total]
-					}
-					copy(cnt, nxt.off[:size])
-					buf := nxt.buf
-					for _, src := range srcLists[s] {
-						for _, rec := range out[src][s] {
-							if expand {
-								for _, v := range segs.flat[rec.lo:rec.hi] {
-									i := v - int32(lo)
-									buf[cnt[i]] = rec.m
-									cnt[i]++
+						for _, m := range msgs {
+							sz := int64(m.Size())
+							st.bytes += sz
+							var delivered int64
+							for _, v := range g.Neighbors(u) {
+								if cfg.Fault.Drop(c, m, v) {
+									continue
 								}
-							} else {
-								i := rec.lo - int32(lo)
-								buf[cnt[i]] = rec.m
-								cnt[i]++
+								d := owner[v]
+								if len(myOut[d]) == 0 {
+									tl = append(tl, d)
+								}
+								myOut[d] = append(myOut[d], shardDelivery{lo: int32(v), m: m})
+								delivered++
+							}
+							st.deliveries += delivered
+							st.records += delivered
+							if observing {
+								k := &st.kinds[m.Kind]
+								k.Messages++
+								k.Bytes += sz
+								k.Deliveries += delivered
 							}
 						}
 					}
-					cur, nxt = nxt, cur
-					rep[s] <- struct{}{}
-				default: // cmdStop
-					return
+				}
+				// Done is evaluated here, after the shard's steps and
+				// before any next-round delivery, so every worker count
+				// reaches the same verdict.
+				for u := lo; u < hi && st.done; u++ {
+					st.done = nodes[u].Done()
+				}
+				stats[s] = st
+				touched[s] = tl
+				return
+			}
+			// Two passes over this shard's incoming records: count
+			// per-vertex arrivals, prefix-sum into the offset table, then
+			// place messages — a dense arena fill with no per-vertex
+			// slice bookkeeping. The arena grows amortized, so a new
+			// traffic peak does not reallocate at exactly its size.
+			for i := range cnt {
+				cnt[i] = 0
+			}
+			total := int32(0)
+			for _, src := range srcLists[s] {
+				for _, rec := range out[src][s] {
+					if expand {
+						for _, v := range segs.flat[rec.lo:rec.hi] {
+							cnt[v-int32(lo)]++
+						}
+						total += rec.hi - rec.lo
+					} else {
+						cnt[rec.lo-int32(lo)]++
+						total++
+					}
 				}
 			}
-		}(s)
+			nxt.off[0] = 0
+			for i := 0; i < size; i++ {
+				nxt.off[i+1] = nxt.off[i] + cnt[i]
+			}
+			nxt.buf = slices.Grow(nxt.buf[:0], int(total))[:total]
+			copy(cnt, nxt.off[:size])
+			buf := nxt.buf
+			for _, src := range srcLists[s] {
+				for _, rec := range out[src][s] {
+					if expand {
+						for _, v := range segs.flat[rec.lo:rec.hi] {
+							i := v - int32(lo)
+							buf[cnt[i]] = rec.m
+							cnt[i]++
+						}
+					} else {
+						i := rec.lo - int32(lo)
+						buf[cnt[i]] = rec.m
+						cnt[i]++
+					}
+				}
+			}
+			cur, nxt = nxt, cur
+		}
 	}
 
-	broadcast := func(c int) {
+	// With one worker the coordinator runs the phases itself. Otherwise
+	// each shard gets a goroutine that runs the commands it receives
+	// and reports back; on return, closing cmd releases them all and
+	// the run waits for them to exit.
+	broadcast := func(c int) { phase[0](c) }
+	if workers > 1 {
+		cmd := make([]chan int, workers)
+		rep := make([]chan struct{}, workers)
+		var wg sync.WaitGroup
 		for s := 0; s < workers; s++ {
-			cmd[s] <- c
+			cmd[s] = make(chan int, 1)
+			rep[s] = make(chan struct{}, 1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for c := range cmd[s] {
+					phase[s](c)
+					rep[s] <- struct{}{}
+				}
+			}()
 		}
-		if c == cmdStop {
-			return
-		}
-		for s := 0; s < workers; s++ {
-			<-rep[s]
+		defer func() {
+			for _, ch := range cmd {
+				close(ch)
+			}
+			wg.Wait()
+		}()
+		broadcast = func(c int) {
+			for s := 0; s < workers; s++ {
+				cmd[s] <- c
+			}
+			for s := 0; s < workers; s++ {
+				<-rep[s]
+			}
 		}
 	}
 
@@ -428,10 +430,10 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 			res.Terminated = true
 			break
 		}
-		// Cancellation point: same barrier position as the other engines
+		// Cancellation point: same barrier position as the tcp engine
 		// (after the done verdict, before the merge commits the next
-		// round). The cmdStop broadcast below releases the workers, which
-		// are parked on cmd here.
+		// round). The deferred close releases the workers, which are
+		// parked on cmd here.
 		if canceled(ctx) {
 			res.Aborted = true
 			break
@@ -460,7 +462,6 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		mergeSkips += int64(workers)*int64(workers) - pairs
 		broadcast(cmdMerge)
 	}
-	broadcast(cmdStop)
 	if cfg.ShardStats != nil {
 		cfg.ShardStats.Records = records
 		cfg.ShardStats.MergeScans = mergeScans

@@ -113,27 +113,6 @@ func TestShardMatchesSync(t *testing.T) {
 	}
 }
 
-// The chan engine must agree with the same reference runs.
-func TestChanMatchesSync(t *testing.T) {
-	const n, limit = 47, 12
-	for fname, fault := range map[string]FaultInjector{
-		"reliable": nil,
-		"droprate": DropRate{Seed: 9, P: 0.2},
-	} {
-		want := captureRun(t, RunSync, n, limit, 5, fault)
-		got := captureRun(t, RunChan, n, limit, 5, fault)
-		if got.res != want.res {
-			t.Fatalf("%s: Result differs:\nchan: %+v\nsync: %+v", fname, got.res, want.res)
-		}
-		if !reflect.DeepEqual(got.rounds, want.rounds) {
-			t.Fatalf("%s: RoundTraffic streams differ", fname)
-		}
-		if !reflect.DeepEqual(got.heard, want.heard) {
-			t.Fatalf("%s: inbox histories differ", fname)
-		}
-	}
-}
-
 // Shard runs must be reproducible run-to-run for a fixed worker count:
 // the merge barrier imposes a deterministic delivery order even though
 // worker goroutines race to the barrier.
@@ -142,5 +121,50 @@ func TestShardDeterministicAcrossRuns(t *testing.T) {
 	b := captureRun(t, shardWith(3), 33, 9, 11, DropRate{Seed: 4, P: 0.1})
 	if a.res != b.res || !reflect.DeepEqual(a.rounds, b.rounds) || !reflect.DeepEqual(a.heard, b.heard) {
 		t.Fatal("same-seed shard runs diverged")
+	}
+}
+
+// orderNode appends its id to a log shared by every node and guarded by
+// nothing, so an engine that steps two vertices concurrently is a data
+// race under -race.
+type orderNode struct {
+	id, rounds int
+	log        *[]int
+}
+
+func (o *orderNode) ID() int { return o.id }
+
+func (o *orderNode) Step(round int, inbox []msg.Message) []msg.Message {
+	*o.log = append(*o.log, o.id)
+	o.rounds++
+	return []msg.Message{{Kind: msg.KindUpdate, From: o.id, To: msg.Broadcast, Edge: -1, Color: -1}}
+}
+
+func (o *orderNode) Done() bool { return o.rounds >= 3 }
+
+// RunSync ignores Config.Workers: it still steps every vertex in
+// ascending id, one at a time, and reports a single worker.
+func TestRunSyncIgnoresWorkers(t *testing.T) {
+	const n = 40
+	var log []int
+	nodes := make([]Node, n)
+	for i := range nodes {
+		nodes[i] = &orderNode{id: i, log: &log}
+	}
+	var st ShardStats
+	res, err := RunSync(gen.Cycle(n), nodes, Config{Workers: 8, ShardStats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Terminated || res.Rounds != 3 || st.Workers != 1 {
+		t.Fatalf("result %+v, shard stats %+v", res, st)
+	}
+	if len(log) != 3*n {
+		t.Fatalf("%d steps, want %d", len(log), 3*n)
+	}
+	for i, id := range log {
+		if id != i%n {
+			t.Fatalf("step %d went to vertex %d, want %d", i, id, i%n)
+		}
 	}
 }

@@ -198,8 +198,8 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 					outb = append(outb, broadcast{from: w.lo + i, m: m})
 				}
 			}
-			// Same evaluation point as RunSync's allDone: after every
-			// node stepped the round.
+			// Same evaluation point as RunShard's done verdict: after
+			// every node stepped the round.
 			done := true
 			for _, n := range nodes {
 				if !n.Done() {

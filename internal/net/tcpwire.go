@@ -68,25 +68,25 @@ func AppendGraph(buf []byte, g *graph.Graph) []byte {
 // returning the graph and the unconsumed tail. Edge insertion order is
 // the wire order, so edge ids match the sender's exactly.
 func DecodeGraph(buf []byte) (*graph.Graph, []byte, error) {
-	dec := wireDec{buf: buf}
-	n := dec.uvarint("vertex count")
-	m := dec.uvarint("edge count")
-	if dec.err != nil {
-		return nil, nil, dec.err
+	dec := msg.Cursor{Buf: buf}
+	n := dec.Uvarint("vertex count")
+	m := dec.Uvarint("edge count")
+	if dec.Err != nil {
+		return nil, nil, dec.Err
 	}
 	if n > 1<<31 {
 		return nil, nil, fmt.Errorf("net: implausible vertex count %d", n)
 	}
 	// Each edge costs at least two bytes on the wire.
-	if m > uint64(len(dec.buf))/2 {
-		return nil, nil, fmt.Errorf("net: implausible edge count %d for %d remaining bytes", m, len(dec.buf))
+	if m > uint64(len(dec.Buf))/2 {
+		return nil, nil, fmt.Errorf("net: implausible edge count %d for %d remaining bytes", m, len(dec.Buf))
 	}
 	g := graph.New(int(n))
 	for i := uint64(0); i < m; i++ {
-		u := dec.uvarint("edge endpoint")
-		v := dec.uvarint("edge endpoint")
-		if dec.err != nil {
-			return nil, nil, dec.err
+		u := dec.Uvarint("edge endpoint")
+		v := dec.Uvarint("edge endpoint")
+		if dec.Err != nil {
+			return nil, nil, dec.Err
 		}
 		if u >= n || v >= n {
 			return nil, nil, fmt.Errorf("net: edge %d endpoints (%d, %d) out of range for %d vertices", i, u, v, n)
@@ -95,7 +95,7 @@ func DecodeGraph(buf []byte) (*graph.Graph, []byte, error) {
 			return nil, nil, fmt.Errorf("net: edge %d: %w", i, err)
 		}
 	}
-	return g, dec.buf, nil
+	return g, dec.Buf, nil
 }
 
 // welcome is the coordinator's run description for one node process.
@@ -120,16 +120,16 @@ func (w welcome) append(buf []byte) []byte {
 
 func decodeWelcome(buf []byte) (welcome, error) {
 	var w welcome
-	dec := wireDec{buf: buf}
-	w.factory = string(dec.lenBytes("factory name"))
-	w.spec = append([]byte(nil), dec.lenBytes("spec blob")...)
-	w.shards = int(dec.uvarint("shard count"))
-	w.lo = int(dec.uvarint("shard lo"))
-	w.hi = int(dec.uvarint("shard hi"))
-	if dec.err != nil {
-		return w, dec.err
+	dec := msg.Cursor{Buf: buf}
+	w.factory = string(dec.LenBytes("factory name"))
+	w.spec = append([]byte(nil), dec.LenBytes("spec blob")...)
+	w.shards = int(dec.Uvarint("shard count"))
+	w.lo = int(dec.Uvarint("shard lo"))
+	w.hi = int(dec.Uvarint("shard hi"))
+	if dec.Err != nil {
+		return w, dec.Err
 	}
-	g, rest, err := DecodeGraph(dec.buf)
+	g, rest, err := DecodeGraph(dec.Buf)
 	if err != nil {
 		return w, err
 	}
@@ -169,31 +169,31 @@ func appendRound(buf []byte, round int, ds []delivery) []byte {
 // deliver(to, m) to avoid materializing a second slice. Strict: the
 // payload must be consumed exactly.
 func decodeRound(buf []byte, deliver func(to int, m msg.Message) error) (round int, err error) {
-	dec := wireDec{buf: buf}
-	round = int(dec.uvarint("round"))
-	count := dec.uvarint("delivery count")
-	if dec.err != nil {
-		return 0, dec.err
+	dec := msg.Cursor{Buf: buf}
+	round = int(dec.Uvarint("round"))
+	count := dec.Uvarint("delivery count")
+	if dec.Err != nil {
+		return 0, dec.Err
 	}
-	if count > uint64(len(dec.buf)) {
-		return 0, fmt.Errorf("net: implausible delivery count %d for %d remaining bytes", count, len(dec.buf))
+	if count > uint64(len(dec.Buf)) {
+		return 0, fmt.Errorf("net: implausible delivery count %d for %d remaining bytes", count, len(dec.Buf))
 	}
 	for i := uint64(0); i < count; i++ {
-		to := dec.uvarint("delivery vertex")
-		if dec.err != nil {
-			return 0, dec.err
+		to := dec.Uvarint("delivery vertex")
+		if dec.Err != nil {
+			return 0, dec.Err
 		}
-		m, used, err := msg.Decode(dec.buf)
+		m, used, err := msg.Decode(dec.Buf)
 		if err != nil {
 			return 0, fmt.Errorf("net: delivery %d of %d: %w", i, count, err)
 		}
-		dec.buf = dec.buf[used:]
+		dec.Buf = dec.Buf[used:]
 		if err := deliver(int(to), m); err != nil {
 			return 0, err
 		}
 	}
-	if len(dec.buf) != 0 {
-		return 0, fmt.Errorf("net: %d trailing bytes after round frame", len(dec.buf))
+	if len(dec.Buf) != 0 {
+		return 0, fmt.Errorf("net: %d trailing bytes after round frame", len(dec.Buf))
 	}
 	return round, nil
 }
@@ -229,34 +229,34 @@ type broadcast struct {
 
 // decodeOutbox parses an outbox frame strictly.
 func decodeOutbox(buf []byte) (round int, done bool, bs []broadcast, err error) {
-	dec := wireDec{buf: buf}
-	round = int(dec.uvarint("round"))
-	flags := dec.byte("flags")
-	count := dec.uvarint("broadcast count")
-	if dec.err != nil {
-		return 0, false, nil, dec.err
+	dec := msg.Cursor{Buf: buf}
+	round = int(dec.Uvarint("round"))
+	flags := dec.Byte("flags")
+	count := dec.Uvarint("broadcast count")
+	if dec.Err != nil {
+		return 0, false, nil, dec.Err
 	}
 	if flags&^byte(outboxFlagDone) != 0 {
 		return 0, false, nil, fmt.Errorf("net: unknown outbox flag bits %#x", flags)
 	}
-	if count > uint64(len(dec.buf)) {
-		return 0, false, nil, fmt.Errorf("net: implausible broadcast count %d for %d remaining bytes", count, len(dec.buf))
+	if count > uint64(len(dec.Buf)) {
+		return 0, false, nil, fmt.Errorf("net: implausible broadcast count %d for %d remaining bytes", count, len(dec.Buf))
 	}
 	bs = make([]broadcast, 0, count)
 	for i := uint64(0); i < count; i++ {
-		from := dec.uvarint("sender vertex")
-		if dec.err != nil {
-			return 0, false, nil, dec.err
+		from := dec.Uvarint("sender vertex")
+		if dec.Err != nil {
+			return 0, false, nil, dec.Err
 		}
-		m, used, err := msg.Decode(dec.buf)
+		m, used, err := msg.Decode(dec.Buf)
 		if err != nil {
 			return 0, false, nil, fmt.Errorf("net: broadcast %d of %d: %w", i, count, err)
 		}
-		dec.buf = dec.buf[used:]
+		dec.Buf = dec.Buf[used:]
 		bs = append(bs, broadcast{from: int(from), m: m})
 	}
-	if len(dec.buf) != 0 {
-		return 0, false, nil, fmt.Errorf("net: %d trailing bytes after outbox frame", len(dec.buf))
+	if len(dec.Buf) != 0 {
+		return 0, false, nil, fmt.Errorf("net: %d trailing bytes after outbox frame", len(dec.Buf))
 	}
 	return round, flags&outboxFlagDone != 0, bs, nil
 }
@@ -277,73 +277,26 @@ func appendState(buf []byte, lo int, blobs [][]byte) []byte {
 // blob) per entry. Blobs alias the payload buffer and must be consumed
 // within the callback.
 func decodeState(buf []byte, restore func(vertex int, blob []byte) error) error {
-	dec := wireDec{buf: buf}
-	count := dec.uvarint("state count")
-	if dec.err != nil {
-		return dec.err
+	dec := msg.Cursor{Buf: buf}
+	count := dec.Uvarint("state count")
+	if dec.Err != nil {
+		return dec.Err
 	}
-	if count > uint64(len(dec.buf))+1 {
-		return fmt.Errorf("net: implausible state count %d for %d remaining bytes", count, len(dec.buf))
+	if count > uint64(len(dec.Buf))+1 {
+		return fmt.Errorf("net: implausible state count %d for %d remaining bytes", count, len(dec.Buf))
 	}
 	for i := uint64(0); i < count; i++ {
-		vertex := dec.uvarint("state vertex")
-		blob := dec.lenBytes("state blob")
-		if dec.err != nil {
-			return dec.err
+		vertex := dec.Uvarint("state vertex")
+		blob := dec.LenBytes("state blob")
+		if dec.Err != nil {
+			return dec.Err
 		}
 		if err := restore(int(vertex), blob); err != nil {
 			return err
 		}
 	}
-	if len(dec.buf) != 0 {
-		return fmt.Errorf("net: %d trailing bytes after state frame", len(dec.buf))
+	if len(dec.Buf) != 0 {
+		return fmt.Errorf("net: %d trailing bytes after state frame", len(dec.Buf))
 	}
 	return nil
-}
-
-// wireDec is a cursor over a frame payload that latches the first
-// decode error, keeping multi-field parsers linear instead of nested.
-type wireDec struct {
-	buf []byte
-	err error
-}
-
-func (d *wireDec) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("net: truncated %s", what)
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *wireDec) byte(what string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = fmt.Errorf("net: truncated %s", what)
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *wireDec) lenBytes(what string) []byte {
-	n := d.uvarint(what + " length")
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("net: %s of %d bytes exceeds the %d remaining", what, n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
 }

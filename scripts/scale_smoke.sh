@@ -1,8 +1,8 @@
 #!/bin/sh
 # scale_smoke.sh — abbreviated engine scale sweep for CI, in two arms.
 #
-# Arm 1 is the historical smoke: all three engines over the reduced
-# ladder at the runner's default GOMAXPROCS. Arm 2 exists because the
+# Arm 1 is the historical smoke: the default engine list (sync, shard)
+# over the reduced ladder at the runner's default GOMAXPROCS. Arm 2 exists because the
 # single-arm job had never exercised the multi-worker shard path it
 # claims to benchmark: it reruns sync+shard with an explicit worker
 # count > 1, so cross-shard merges happen, and the sweep's built-in
@@ -16,7 +16,7 @@ WORKERS="${SCALE_SMOKE_WORKERS:-4}"
 say() { echo "scale-smoke: $*"; }
 die() { say "FAIL: $*"; exit 1; }
 
-say "arm 1: all engines, default workers (scale $SCALE)"
+say "arm 1: default engines, default workers (scale $SCALE)"
 go run ./cmd/dimabench -exp scale -scale "$SCALE" \
     || die "scale sweep failed"
 
