@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check bench check serve-smoke dynamic-smoke load-smoke soak-smoke scale-smoke parallel-smoke cluster-smoke cluster-serve-smoke
+.PHONY: all build test race vet fmt fmt-check bench fuzz-smoke check serve-smoke dynamic-smoke load-smoke soak-smoke scale-smoke parallel-smoke cluster-smoke cluster-serve-smoke
 
 all: build
 
@@ -30,6 +30,17 @@ fmt-check:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# Runs every Fuzz* target in the module for FUZZTIME each, one
+# `go test -fuzz` at a time (the fuzz engine takes one target per run).
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
+			echo "fuzz-smoke: $$name in $$dir"; \
+			(cd $$dir && $(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) .); \
+		done; \
+	done
 
 # End-to-end smoke of the dimaserve binary over curl: submit, poll to
 # done, cancel a large job mid-run, drain on SIGTERM (docs/SERVING.md).

@@ -32,6 +32,13 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
+// MaxVertices bounds the vertex count a graph header may declare.
+// graph.New allocates every vertex's adjacency up front, so without a
+// bound a few header bytes ("n 99999999999") would demand terabytes
+// and kill the process, whatever the input size. 2^24 vertices (about
+// 0.8 GB of empty adjacency) is far above any graph the tools run.
+const MaxVertices = 1 << 24
+
 // ReadGraph parses the edge-list format (native or DIMACS-style).
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
@@ -58,6 +65,9 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 			if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 {
 				return nil, fmt.Errorf("graphio: line %d: bad vertex count %q", lineNo, fields[1])
 			}
+			if n > MaxVertices {
+				return nil, fmt.Errorf("graphio: line %d: vertex count %d exceeds the %d limit", lineNo, n, MaxVertices)
+			}
 			g = graph.New(n)
 		case "p":
 			// DIMACS: p edge <N> <M>, vertices 1-indexed.
@@ -70,6 +80,9 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 			var n int
 			if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil || n < 0 {
 				return nil, fmt.Errorf("graphio: line %d: bad vertex count %q", lineNo, fields[2])
+			}
+			if n > MaxVertices {
+				return nil, fmt.Errorf("graphio: line %d: vertex count %d exceeds the %d limit", lineNo, n, MaxVertices)
 			}
 			g = graph.New(n)
 			dimacs = true

@@ -1,6 +1,7 @@
 package graphio
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -125,6 +126,22 @@ func TestReadGraphErrors(t *testing.T) {
 	for name, src := range cases {
 		if _, err := ReadGraph(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted %q", name, src)
+		}
+	}
+}
+
+// TestReadGraphRejectsHugeVertexCount: a header declaring more than
+// MaxVertices vertices is an error, not an allocation that kills the
+// process (FuzzReadGraph found "n 9999999999999" doing that).
+func TestReadGraphRejectsHugeVertexCount(t *testing.T) {
+	for _, src := range []string{
+		"n 9999999999999\n",
+		fmt.Sprintf("n %d\n", MaxVertices+1),
+		"p edge 9999999999999 1\ne 1 2\n",
+	} {
+		_, err := ReadGraph(strings.NewReader(src))
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%q: err %v, want a vertex-limit error", src, err)
 		}
 	}
 }

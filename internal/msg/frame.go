@@ -97,8 +97,8 @@ func (fr *FrameReader) Next() (FrameKind, []byte, error) {
 		fr.buf = make([]byte, need)
 	}
 	fr.buf = fr.buf[:need]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		return 0, nil, fmt.Errorf("msg: truncated frame payload (%d of %d bytes): %w", 0, need, noEOF(err))
+	if got, err := io.ReadFull(fr.r, fr.buf); err != nil {
+		return 0, nil, fmt.Errorf("msg: truncated frame payload (%d of %d bytes): %w", got, need, noEOF(err))
 	}
 	return FrameKind(kind), fr.buf, nil
 }
@@ -164,7 +164,9 @@ func decodeMessageBlock(buf []byte) ([]Message, []byte, error) {
 
 // Wire protocol version of the cluster handshake. Bump on any change to
 // the frame grammar; coordinator and node refuse mismatched peers.
-const HandshakeVersion = 1
+// Version 2: round frames carry halo records (sender, message, drop
+// list).
+const HandshakeVersion = 2
 
 // helloMagic opens every handshake so a stray connection (or a peer
 // speaking a different protocol entirely) is rejected on the first
@@ -233,7 +235,8 @@ type Cursor struct {
 	Err error
 }
 
-// Uvarint reads one uvarint; what names the field in the error.
+// Uvarint reads one minimal uvarint; what names the field in the
+// error.
 func (d *Cursor) Uvarint(what string) uint64 {
 	if d.Err != nil {
 		return 0
@@ -241,6 +244,10 @@ func (d *Cursor) Uvarint(what string) uint64 {
 	v, n := binary.Uvarint(d.Buf)
 	if n <= 0 {
 		d.Err = fmt.Errorf("msg: truncated %s", what)
+		return 0
+	}
+	if padded(d.Buf, n) {
+		d.Err = fmt.Errorf("msg: padded varint in %s", what)
 		return 0
 	}
 	d.Buf = d.Buf[n:]

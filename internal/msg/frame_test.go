@@ -3,6 +3,7 @@ package msg
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -76,6 +77,37 @@ func TestFrameReaderErrors(t *testing.T) {
 				t.Fatalf("got %v, want %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestFrameReaderTruncatedPayloadCount checks that a payload cut off
+// partway through reports how many of its bytes did arrive.
+func TestFrameReaderTruncatedPayloadCount(t *testing.T) {
+	whole := AppendFrame(nil, 7, bytes.Repeat([]byte{0x5a}, 10))
+	for _, got := range []int{0, 4, 9} {
+		fr := NewFrameReader(bytes.NewReader(whole[:frameHeaderLen+got]), 0)
+		_, _, err := fr.Next()
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d of 10 bytes: got %v, want io.ErrUnexpectedEOF", got, err)
+		}
+		if want := fmt.Sprintf("(%d of 10 bytes)", got); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d of 10 bytes: error %q does not say %q", got, err, want)
+		}
+	}
+}
+
+// TestCursorRejectsPaddedUvarint: a uvarint longer than its value
+// needs would not re-encode to its own bytes, so it is an error.
+func TestCursorRejectsPaddedUvarint(t *testing.T) {
+	for _, buf := range [][]byte{{0x80, 0x00}, {0x85, 0x80, 0x00}} {
+		dec := Cursor{Buf: buf}
+		if v := dec.Uvarint("field"); dec.Err == nil || !strings.Contains(dec.Err.Error(), "padded") {
+			t.Errorf("%x: read %d, err %v; want a padded-varint error", buf, v, dec.Err)
+		}
+	}
+	dec := Cursor{Buf: []byte{0x85, 0x01}}
+	if v := dec.Uvarint("field"); dec.Err != nil || v != 133 {
+		t.Errorf("minimal 2-byte uvarint: read %d, err %v", v, dec.Err)
 	}
 }
 
@@ -217,8 +249,8 @@ func FuzzDecodeMessages(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Re-encoding is canonical; decoding may accept padded varints,
-		// so the round-trip check is semantic, as in FuzzDecode.
+		// Message varints must be minimal, so the semantic round trip
+		// below also holds byte for byte (FuzzDecode checks that).
 		again, err := DecodeMessages(AppendMessages(nil, ms))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

@@ -212,8 +212,15 @@ func (m Message) Append(buf []byte) []byte {
 	return buf
 }
 
+// padded reports whether the n-byte varint at the front of buf is
+// longer than its value needs: only a padded encoding ends in a zero
+// group. Append writes minimal varints, so rejecting padding makes
+// every accepted encoding re-encode to the same bytes.
+func padded(buf []byte, n int) bool { return n > 1 && buf[n-1] == 0 }
+
 // Decode parses one message from buf, returning the message and the
-// number of bytes consumed.
+// number of bytes consumed. Every varint must be minimal, so a message
+// Decode accepts re-encodes (Append) to exactly the bytes it consumed.
 func Decode(buf []byte) (Message, int, error) {
 	var m Message
 	if len(buf) == 0 {
@@ -226,8 +233,8 @@ func Decode(buf []byte) (Message, int, error) {
 	pos := 1
 	readInt := func() (int, error) {
 		v, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("msg: truncated varint at offset %d", pos)
+		if n <= 0 || padded(buf[pos:], n) {
+			return 0, fmt.Errorf("msg: truncated or padded varint at offset %d", pos)
 		}
 		pos += n
 		return int(v), nil
@@ -256,7 +263,7 @@ func Decode(buf []byte) (Message, int, error) {
 	m.Keep = flags&flagKeep != 0
 	if flags&flagSeq != 0 {
 		seq, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
+		if n <= 0 || padded(buf[pos:], n) {
 			return m, 0, fmt.Errorf("msg: truncated sequence number")
 		}
 		if seq == 0 || seq > uint64(^uint32(0)) {
@@ -266,8 +273,8 @@ func Decode(buf []byte) (Message, int, error) {
 		m.Seq = uint32(seq)
 	}
 	count, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		return m, 0, fmt.Errorf("msg: truncated paint count")
+	if n <= 0 || padded(buf[pos:], n) {
+		return m, 0, fmt.Errorf("msg: truncated or padded paint count")
 	}
 	pos += n
 	// Each paint encodes to at least two bytes (one per varint), so any

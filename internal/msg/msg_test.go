@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,24 @@ func TestDecodeErrors(t *testing.T) {
 			if _, _, err := Decode(full[:cut]); err == nil {
 				t.Fatalf("decoded truncated buffer of %d/%d bytes", cut, len(full))
 			}
+		}
+	}
+}
+
+// TestDecodeRejectsPaddedVarints: each varint field of a message,
+// padded with a zero continuation group, must be rejected, so an
+// accepted encoding always equals what Append writes.
+func TestDecodeRejectsPaddedVarints(t *testing.T) {
+	// Kind byte, From=1, To=2, Edge=3, Color=0, flags (seq), Seq=4, one paint (5, 6).
+	good := []byte{byte(KindInvite), 2, 4, 6, 0, flagSeq, 4, 1, 10, 12}
+	m, n, err := Decode(good)
+	if err != nil || n != len(good) || !bytes.Equal(m.Append(nil), good) {
+		t.Fatalf("minimal encoding: %v, %d bytes, err %v", m, n, err)
+	}
+	for _, pos := range []int{1, 2, 3, 4, 6, 7, 8, 9} {
+		padded := append(append(append([]byte(nil), good[:pos]...), good[pos]|0x80, 0x00), good[pos+1:]...)
+		if _, _, err := Decode(padded); err == nil {
+			t.Errorf("varint at offset %d padded to two bytes was accepted", pos)
 		}
 	}
 }
@@ -250,8 +269,11 @@ func FuzzDecode(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		// Round-trip: re-encoding the decoded message must decode to the
-		// same message.
+		// Round-trip: re-encoding the decoded message must give back the
+		// consumed bytes exactly and decode to the same message.
+		if enc := m.Append(nil); !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("re-encoded %x, consumed %x", enc, data[:n])
+		}
 		again, n2, err := Decode(m.Append(nil))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

@@ -57,10 +57,13 @@ type nbrSeg struct {
 // shardSegments is the per-run CSR of shard-grouped neighbor lists:
 // vertex u's segments are segs[segOf[u]:segOf[u+1]], each naming a
 // destination shard and a slice of flat holding u's neighbors in that
-// shard. Built once per run (reliable path only), it is what lets the
-// step phase buffer one record per (message, destination shard) and
-// the merge phase expand records to receivers without the sender ever
-// touching per-neighbor state.
+// shard. Built once per run (RunShard: reliable path only), it is what
+// lets the step phase buffer one record per (message, destination
+// shard) and the merge phase expand records to receivers without the
+// sender ever touching per-neighbor state. The tcp engine builds the
+// same table on the coordinator and on every node process: the
+// coordinator writes one halo record per segment, and the node expands
+// it over the segment addressed to its shard.
 type shardSegments struct {
 	flat  []int32
 	segs  []nbrSeg
@@ -111,6 +114,25 @@ func buildShardSegments(g *graph.Graph, owner []int32, workers int) shardSegment
 	}
 	ss.segOf[n] = int32(len(ss.segs))
 	return ss
+}
+
+// splitShards cuts the vertex range [0, n) into shards contiguous
+// ranges: shard s owns [bounds[s], bounds[s+1]) with bounds[s] =
+// s·n/shards, and owner[v] names the shard holding vertex v. RunShard
+// workers and tcp node processes share this split, so both engines
+// concatenate per-shard outboxes into ascending sender order.
+func splitShards(n, shards int) (bounds []int, owner []int32) {
+	bounds = make([]int, shards+1)
+	for s := 0; s <= shards; s++ {
+		bounds[s] = s * n / shards
+	}
+	owner = make([]int32, n)
+	for s := 0; s < shards; s++ {
+		for u := bounds[s]; u < bounds[s+1]; u++ {
+			owner[u] = int32(s)
+		}
+	}
+	return bounds, owner
 }
 
 // RunShard executes the protocol with cfg.Workers goroutines, each
@@ -180,18 +202,7 @@ func RunShard(g *graph.Graph, nodes []Node, cfg Config) (Result, error) {
 		*cfg.ShardStats = ShardStats{Workers: workers}
 	}
 
-	// Contiguous shards: shard s owns [bounds[s], bounds[s+1]). The
-	// owner array answers "which shard holds vertex v" in O(1).
-	bounds := make([]int, workers+1)
-	for s := 0; s <= workers; s++ {
-		bounds[s] = s * n / workers
-	}
-	owner := make([]int32, n)
-	for s := 0; s < workers; s++ {
-		for u := bounds[s]; u < bounds[s+1]; u++ {
-			owner[u] = int32(s)
-		}
-	}
+	bounds, owner := splitShards(n, workers)
 
 	// The reliable fast path expands records to neighbors at merge
 	// time; a fault injector forces per-delivery filtering at fan-out,

@@ -119,9 +119,12 @@ const (
 
 // RunTCP executes the protocol across tc.Nodes separate OS processes
 // connected over TCP. The coordinator mirrors RunSync exactly: it owns
-// routing, fault injection, traffic accounting, and the round barrier,
-// while node processes step their vertex shards; per-round outboxes are
-// re-delivered in canonical ascending-sender order. Results, colorings,
+// fault injection, traffic accounting, and the round barrier, while
+// node processes step their vertex shards. Each broadcast travels as
+// one halo record per destination shard holding a surviving delivery
+// (sender, message, dropped vertices); the node expands it to the
+// sender's neighbors in its shard, in ascending sender order, as
+// RunShard's merge expands its records. Results, colorings,
 // and per-round telemetry are byte-identical to RunSync at every shard
 // count, including under faults and mid-round cancel.
 //
@@ -172,17 +175,10 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 	}
 	// Shard bounds identical to RunShard: contiguous ascending ranges,
 	// so concatenating per-shard outboxes in shard order reproduces
-	// RunSync's ascending-sender order.
-	bounds := make([]int, shards+1)
-	for s := 0; s <= shards; s++ {
-		bounds[s] = s * g.N() / shards
-	}
-	owner := make([]int, g.N())
-	for s := 0; s < shards; s++ {
-		for u := bounds[s]; u < bounds[s+1]; u++ {
-			owner[u] = s
-		}
-	}
+	// RunSync's ascending-sender order. The nodes build the same
+	// segment table from the welcome frame's graph.
+	bounds, owner := splitShards(g.N(), shards)
+	segs := buildShardSegments(g, owner, shards)
 
 	run, err := launchCluster(tc, shards)
 	if err != nil {
@@ -209,14 +205,26 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 		}
 	}
 
-	pending := make([][]delivery, shards)
+	// records[s] holds the halo records (appendHalo) of the next round
+	// frame to shard s, count[s] how many. Each broadcast becomes one
+	// record per destination shard holding a surviving delivery, so
+	// the wire carries at most messages × shards records, whatever the
+	// degree. Under faults, drops[d] collects the vertices of shard d
+	// whose delivery of the current broadcast was dropped.
+	records := make([][]byte, shards)
+	count := make([]int, shards)
+	var drops [][]int32
+	if cfg.Fault != nil {
+		drops = make([][]int32, shards)
+	}
+	var bs []broadcast
 	for round := 0; round < maxRounds; round++ {
 		for s := 0; s < shards; s++ {
-			run.buf = appendRound(run.buf[:0], round, pending[s])
+			run.buf = appendRound(run.buf[:0], round, count[s], records[s])
 			if err := run.send(s, frameRound, run.buf); err != nil {
 				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
 			}
-			pending[s] = pending[s][:0]
+			records[s], count[s] = records[s][:0], 0
 		}
 		var rt RoundTraffic
 		doneAll := true
@@ -225,7 +233,9 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 			if err != nil {
 				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
 			}
-			r, done, bs, err := decodeOutbox(payload)
+			var r int
+			var done bool
+			r, done, bs, err = decodeOutbox(payload, bs[:0])
 			if err != nil {
 				return Result{}, &NodeError{Shard: s, Round: round, Err: err}
 			}
@@ -236,23 +246,48 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 			if !done {
 				doneAll = false
 			}
+			prev := bounds[s]
 			for _, b := range bs {
-				if b.from < bounds[s] || b.from >= bounds[s+1] {
+				// Senders ascend across the outbox (nodes step in id
+				// order), which is what keeps each node's halo records,
+				// and so its inboxes, in ascending sender order.
+				if b.from < prev || b.from >= bounds[s+1] {
 					return Result{}, &NodeError{Shard: s, Round: round,
-						Err: fmt.Errorf("broadcast from vertex %d outside shard [%d, %d)",
+						Err: fmt.Errorf("broadcast from vertex %d out of order or outside shard [%d, %d)",
 							b.from, bounds[s], bounds[s+1])}
 				}
+				prev = b.from
 				m := b.m
 				sz := int64(m.Size())
 				res.Messages++
 				res.Bytes += sz
+				usegs := segs.segs[segs.segOf[b.from]:segs.segOf[b.from+1]]
 				var delivered int64
-				for _, v := range g.Neighbors(b.from) {
-					if cfg.Fault != nil && cfg.Fault.Drop(round, m, v) {
-						continue
+				if cfg.Fault == nil {
+					delivered = int64(g.Degree(b.from))
+					for _, sg := range usegs {
+						records[sg.dst] = appendHalo(records[sg.dst], b.from, m, nil)
+						count[sg.dst]++
 					}
-					pending[owner[v]] = append(pending[owner[v]], delivery{to: v, m: m})
-					delivered++
+				} else {
+					// Drop verdicts in RunSync's call order: adjacency
+					// order per broadcast, broadcasts in shard order.
+					// Segments keep adjacency order, so each drop list
+					// is an in-order subsequence of its segment.
+					for _, v := range g.Neighbors(b.from) {
+						if cfg.Fault.Drop(round, m, v) {
+							drops[owner[v]] = append(drops[owner[v]], int32(v))
+						}
+					}
+					for _, sg := range usegs {
+						d := drops[sg.dst]
+						if live := int64(sg.hi-sg.lo) - int64(len(d)); live > 0 {
+							records[sg.dst] = appendHalo(records[sg.dst], b.from, m, d)
+							count[sg.dst]++
+							delivered += live
+						}
+						drops[sg.dst] = d[:0]
+					}
 				}
 				res.Deliveries += delivered
 				if cfg.Observe != nil {
@@ -298,17 +333,9 @@ func RunTCP(tc *TCPCluster, spec NodeSpec, g *graph.Graph, nodes []Node, cfg Con
 		if err != nil {
 			return Result{}, &NodeError{Shard: s, Round: hround, Err: err}
 		}
-		next := bounds[s]
-		err = decodeState(payload, func(vertex int, blob []byte) error {
-			if vertex != next {
-				return fmt.Errorf("state for vertex %d, want %d", vertex, next)
-			}
-			next++
+		err = decodeState(payload, bounds[s], bounds[s+1], func(vertex int, blob []byte) error {
 			return nodes[vertex].(StateNode).RestoreState(blob)
 		})
-		if err == nil && next != bounds[s+1] {
-			err = fmt.Errorf("state for %d vertices, want %d", next-bounds[s], bounds[s+1]-bounds[s])
-		}
 		if err != nil {
 			return Result{}, &NodeError{Shard: s, Round: hround, Err: err}
 		}

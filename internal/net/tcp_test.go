@@ -18,6 +18,7 @@ import (
 	"dima/internal/graph"
 	"dima/internal/msg"
 	"dima/internal/net"
+	"dima/internal/rng"
 )
 
 // TestMain lets this test binary serve as its own node process: RunTCP
@@ -506,7 +507,7 @@ func TestRunTCPExternalMode(t *testing.T) {
 	}
 }
 
-func freeLoopbackAddr(t *testing.T) string {
+func freeLoopbackAddr(t testing.TB) string {
 	t.Helper()
 	l, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -515,4 +516,80 @@ func freeLoopbackAddr(t *testing.T) string {
 	addr := l.Addr().String()
 	l.Close()
 	return addr
+}
+
+// everyNth drops every n-th delivery it is asked about, whatever the
+// delivery: its verdicts depend only on the order of Drop calls.
+type everyNth struct{ n, calls int }
+
+func (e *everyNth) Drop(round int, m msg.Message, to int) bool {
+	e.calls++
+	return e.calls%e.n == 0
+}
+
+// shuffledGraph adds its edges in a scrambled order, so adjacency
+// lists interleave vertices of different shards and adjacency order
+// differs from shard-grouped order.
+func shuffledGraph(n, edges int) *graph.Graph {
+	g := graph.New(n)
+	for i := uint64(0); g.M() < edges; i++ {
+		h := rng.Mix64(i)
+		u, v := int(h%uint64(n)), int(h>>32%uint64(n))
+		if u != v && !g.HasEdge(u, v) {
+			g.MustAddEdge(u, v)
+		}
+	}
+	return g
+}
+
+// TestRunTCPStatefulFaultMatchesRunSync pins the Drop call order: a
+// stateful injector reproduces RunSync only if the coordinator asks
+// about every delivery in RunSync's order (broadcasts in ascending
+// sender order, each over its neighbors in adjacency order).
+func TestRunTCPStatefulFaultMatchesRunSync(t *testing.T) {
+	const rounds = 7
+	g := shuffledGraph(26, 70)
+	spec := binary.AppendUvarint(nil, rounds)
+	run := func(engine net.Engine) (net.Result, []net.RoundTraffic, []*reverseNode) {
+		nodes, err := reverseFactory(g, spec, 0, g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traffic []net.RoundTraffic
+		res, err := engine(g, nodes, net.Config{
+			Fault:   &everyNth{n: 7},
+			Observe: func(rt net.RoundTraffic) { traffic = append(traffic, rt) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*reverseNode, len(nodes))
+		for u, nd := range nodes {
+			got[u] = nd.(*reverseNode)
+		}
+		return res, traffic, got
+	}
+	wantRes, wantTraffic, want := run(net.RunSync)
+	if wantRes.Deliveries == 0 {
+		t.Fatalf("degenerate reference run: %+v", wantRes)
+	}
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			defer leakCheck(t)()
+			tc := &net.TCPCluster{Nodes: shards, BarrierTimeout: 30 * time.Second}
+			res, traffic, got := run(tc.Engine(net.NodeSpec{Factory: "test/reverse/v1", Spec: spec}))
+			if res != wantRes {
+				t.Errorf("Result mismatch:\n tcp  %+v\n sync %+v", res, wantRes)
+			}
+			if !reflect.DeepEqual(traffic, wantTraffic) {
+				t.Errorf("round traffic mismatch:\n tcp  %+v\n sync %+v", traffic, wantTraffic)
+			}
+			for u := range got {
+				if got[u].hash != want[u].hash || !reflect.DeepEqual(got[u].log, want[u].log) {
+					t.Fatalf("node %d: hash %x log %v, sync hash %x log %v",
+						u, got[u].hash, got[u].log, want[u].hash, want[u].log)
+				}
+			}
+		})
+	}
 }

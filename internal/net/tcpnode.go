@@ -161,17 +161,21 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 		}
 		states[i] = sn
 	}
+	halo, err := newHaloInbox(w, shard)
+	if err != nil {
+		return err
+	}
 	if err := msg.WriteFrame(conn, frameReady, nil); err != nil {
 		return fmt.Errorf("send ready: %w", err)
 	}
 
-	// Deliveries arrive in ascending sender id (the coordinator routes
-	// shard outboxes in shard order), so canonical outboxes make every
-	// inbox sorted.
-	inboxes := make([][]msg.Message, len(nodes))
+	// Halo records arrive in ascending sender id (the coordinator
+	// routes shard outboxes in shard order), so canonical outboxes make
+	// every inbox sorted.
 	var outb []broadcast
 	var sorted []msg.Message
 	var buf []byte
+	var drops []int32
 	for {
 		kind, payload, err := fr.Next()
 		if err != nil {
@@ -179,22 +183,14 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 		}
 		switch kind {
 		case frameRound:
-			for i := range inboxes {
-				inboxes[i] = inboxes[i][:0]
-			}
-			round, err := decodeRound(payload, func(to int, m msg.Message) error {
-				if to < w.lo || to >= w.hi {
-					return fmt.Errorf("net: delivery to vertex %d outside shard [%d, %d)", to, w.lo, w.hi)
-				}
-				inboxes[to-w.lo] = append(inboxes[to-w.lo], m)
-				return nil
-			})
+			halo.reset()
+			round, err := decodeRound(payload, &drops, halo.deliver)
 			if err != nil {
 				return err
 			}
 			outb = outb[:0]
 			for i, n := range nodes {
-				for _, m := range canonicalOutbox(n.Step(round, inboxes[i]), &sorted) {
+				for _, m := range canonicalOutbox(n.Step(round, halo.inboxes[i]), &sorted) {
 					outb = append(outb, broadcast{from: w.lo + i, m: m})
 				}
 			}
@@ -232,4 +228,90 @@ func serveNode(conn gonet.Conn, shard, shards int, token uint64) error {
 			return fmt.Errorf("unexpected coordinator frame %s", frameKindName(kind))
 		}
 	}
+}
+
+// haloInbox builds one node process's inboxes from the halo records
+// of a round frame. Each record names a sender, a message and the
+// sender's neighbors in this shard whose delivery was dropped; the
+// message goes to every other neighbor in the sender's segment for
+// this shard (the same shardSegments table the coordinator routed
+// with). Every record is checked against that table, so a frame that
+// does not fit this shard is rejected, never half-applied silently.
+type haloInbox struct {
+	segs    shardSegments
+	shard   int32
+	lo      int
+	prev    int // sender of the previous record this round
+	inboxes [][]msg.Message
+}
+
+// newHaloInbox checks the welcome's shard range against the canonical
+// split and builds the routing table for it.
+func newHaloInbox(w welcome, shard int) (*haloInbox, error) {
+	if w.shards > w.g.N() {
+		return nil, fmt.Errorf("net: welcome names %d shards for %d vertices", w.shards, w.g.N())
+	}
+	bounds, owner := splitShards(w.g.N(), w.shards)
+	if shard < 0 || shard >= w.shards || w.lo != bounds[shard] || w.hi != bounds[shard+1] {
+		return nil, fmt.Errorf("net: welcome range [%d, %d) is not shard %d of %d over %d vertices",
+			w.lo, w.hi, shard, w.shards, w.g.N())
+	}
+	return &haloInbox{
+		segs:    buildShardSegments(w.g, owner, w.shards),
+		shard:   int32(shard),
+		lo:      w.lo,
+		inboxes: make([][]msg.Message, w.hi-w.lo),
+	}, nil
+}
+
+// reset empties every inbox for a new round frame.
+func (h *haloInbox) reset() {
+	for i := range h.inboxes {
+		h.inboxes[i] = h.inboxes[i][:0]
+	}
+	h.prev = 0
+}
+
+// deliver expands one halo record into the inboxes.
+func (h *haloInbox) deliver(from int, m msg.Message, drops []int32) error {
+	n := len(h.segs.segOf) - 1
+	if from < 0 || from >= n {
+		return fmt.Errorf("net: halo sender %d out of range [0, %d)", from, n)
+	}
+	if from < h.prev {
+		return fmt.Errorf("net: halo sender %d after sender %d", from, h.prev)
+	}
+	h.prev = from
+	var local []int32
+	for _, sg := range h.segs.segs[h.segs.segOf[from]:h.segs.segOf[from+1]] {
+		if sg.dst == h.shard {
+			local = h.segs.flat[sg.lo:sg.hi]
+			break
+		}
+	}
+	// The drop list is an in-order subsequence of the segment: walk
+	// both together, delivering every vertex the list skips.
+	j := 0
+	for _, d := range drops {
+		for j < len(local) && local[j] != d {
+			h.put(local[j], m)
+			j++
+		}
+		if j == len(local) {
+			return fmt.Errorf("net: halo from vertex %d drops vertex %d, not an in-order neighbor in this shard", from, d)
+		}
+		j++
+	}
+	if len(drops) == len(local) {
+		return fmt.Errorf("net: halo from vertex %d has no surviving delivery in this shard", from)
+	}
+	for ; j < len(local); j++ {
+		h.put(local[j], m)
+	}
+	return nil
+}
+
+func (h *haloInbox) put(v int32, m msg.Message) {
+	i := int(v) - h.lo
+	h.inboxes[i] = append(h.inboxes[i], m)
 }

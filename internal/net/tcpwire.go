@@ -3,6 +3,7 @@ package net
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"dima/internal/graph"
 	"dima/internal/msg"
@@ -16,7 +17,7 @@ const (
 	frameHello    msg.FrameKind = 0x01 // node → coord: msg.Hello
 	frameWelcome  msg.FrameKind = 0x02 // coord → node: spec + graph + shard bounds
 	frameReady    msg.FrameKind = 0x03 // node → coord: nodes constructed
-	frameRound    msg.FrameKind = 0x04 // coord → node: round number + deliveries
+	frameRound    msg.FrameKind = 0x04 // coord → node: round number + halo records
 	frameOutbox   msg.FrameKind = 0x05 // node → coord: round number + broadcasts + done bit
 	frameHarvest  msg.FrameKind = 0x06 // coord → node: export final node state
 	frameState    msg.FrameKind = 0x07 // node → coord: per-vertex state blobs
@@ -144,51 +145,76 @@ func decodeWelcome(buf []byte) (welcome, error) {
 	return w, nil
 }
 
-// delivery is one routed message: the broadcast m must land in vertex
-// to's next inbox. vertex ids ride next to the message because the
-// Message.To field is the protocol addressee (possibly Broadcast), not
-// the transport destination.
-type delivery struct {
-	to int
-	m  msg.Message
-}
-
-// appendRound appends a round frame payload: uvarint round, uvarint
-// delivery count, then (uvarint vertex, message) pairs.
-func appendRound(buf []byte, round int, ds []delivery) []byte {
-	buf = binary.AppendUvarint(buf, uint64(round))
-	buf = binary.AppendUvarint(buf, uint64(len(ds)))
-	for _, d := range ds {
-		buf = binary.AppendUvarint(buf, uint64(d.to))
-		buf = d.m.Append(buf)
+// appendHalo appends one halo record: uvarint sender, its message,
+// uvarint drop count, then the dropped vertices. A record addresses
+// one destination shard and stands for a delivery of m to every
+// neighbor of from inside that shard except the listed ones, which
+// the fault injector dropped; they appear in the sender's adjacency
+// order. Reliable runs always send an empty drop list.
+func appendHalo(buf []byte, from int, m msg.Message, drops []int32) []byte {
+	buf = binary.AppendUvarint(buf, uint64(from))
+	buf = m.Append(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(drops)))
+	for _, v := range drops {
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
 	return buf
 }
 
-// decodeRound parses a round frame, delivering each message through
-// deliver(to, m) to avoid materializing a second slice. Strict: the
-// payload must be consumed exactly.
-func decodeRound(buf []byte, deliver func(to int, m msg.Message) error) (round int, err error) {
+// appendRound appends a round frame payload: uvarint round, uvarint
+// record count, then the count halo records already encoded in
+// records (appendHalo), in ascending sender order.
+func appendRound(buf []byte, round, count int, records []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(round))
+	buf = binary.AppendUvarint(buf, uint64(count))
+	return append(buf, records...)
+}
+
+// decodeRound parses a round frame strictly, passing each halo record
+// to halo(from, m, drops). drops is decoded into *scratch, which is
+// reused across records: it is valid only during the call. Whether a
+// record fits the receiving shard (sender range and order, drop list)
+// is halo's check.
+func decodeRound(buf []byte, scratch *[]int32, halo func(from int, m msg.Message, drops []int32) error) (round int, err error) {
 	dec := msg.Cursor{Buf: buf}
 	round = int(dec.Uvarint("round"))
-	count := dec.Uvarint("delivery count")
+	count := dec.Uvarint("record count")
 	if dec.Err != nil {
 		return 0, dec.Err
 	}
 	if count > uint64(len(dec.Buf)) {
-		return 0, fmt.Errorf("net: implausible delivery count %d for %d remaining bytes", count, len(dec.Buf))
+		return 0, fmt.Errorf("net: implausible record count %d for %d remaining bytes", count, len(dec.Buf))
 	}
 	for i := uint64(0); i < count; i++ {
-		to := dec.Uvarint("delivery vertex")
+		from := dec.Uvarint("halo sender")
 		if dec.Err != nil {
 			return 0, dec.Err
 		}
 		m, used, err := msg.Decode(dec.Buf)
 		if err != nil {
-			return 0, fmt.Errorf("net: delivery %d of %d: %w", i, count, err)
+			return 0, fmt.Errorf("net: halo record %d of %d: %w", i, count, err)
 		}
 		dec.Buf = dec.Buf[used:]
-		if err := deliver(int(to), m); err != nil {
+		ndrops := dec.Uvarint("drop count")
+		if dec.Err != nil {
+			return 0, dec.Err
+		}
+		if ndrops > uint64(len(dec.Buf)) {
+			return 0, fmt.Errorf("net: implausible drop count %d for %d remaining bytes", ndrops, len(dec.Buf))
+		}
+		drops := (*scratch)[:0]
+		for j := uint64(0); j < ndrops; j++ {
+			v := dec.Uvarint("dropped vertex")
+			if v > math.MaxInt32 {
+				return 0, fmt.Errorf("net: dropped vertex %d out of range", v)
+			}
+			drops = append(drops, int32(v))
+		}
+		*scratch = drops
+		if dec.Err != nil {
+			return 0, dec.Err
+		}
+		if err := halo(int(from), m, drops); err != nil {
 			return 0, err
 		}
 	}
@@ -227,8 +253,10 @@ type broadcast struct {
 	m    msg.Message
 }
 
-// decodeOutbox parses an outbox frame strictly.
-func decodeOutbox(buf []byte) (round int, done bool, bs []broadcast, err error) {
+// decodeOutbox parses an outbox frame strictly, appending its
+// broadcasts to bs (a caller-owned buffer the coordinator reuses
+// across shards and rounds) and returning the extended slice.
+func decodeOutbox(buf []byte, bs []broadcast) (round int, done bool, _ []broadcast, err error) {
 	dec := msg.Cursor{Buf: buf}
 	round = int(dec.Uvarint("round"))
 	flags := dec.Byte("flags")
@@ -242,7 +270,6 @@ func decodeOutbox(buf []byte) (round int, done bool, bs []broadcast, err error) 
 	if count > uint64(len(dec.Buf)) {
 		return 0, false, nil, fmt.Errorf("net: implausible broadcast count %d for %d remaining bytes", count, len(dec.Buf))
 	}
-	bs = make([]broadcast, 0, count)
 	for i := uint64(0); i < count; i++ {
 		from := dec.Uvarint("sender vertex")
 		if dec.Err != nil {
@@ -274,24 +301,28 @@ func appendState(buf []byte, lo int, blobs [][]byte) []byte {
 }
 
 // decodeState parses a state frame strictly, calling restore(vertex,
-// blob) per entry. Blobs alias the payload buffer and must be consumed
-// within the callback.
-func decodeState(buf []byte, restore func(vertex int, blob []byte) error) error {
+// blob) per entry. The entries must name exactly the vertices lo, lo+1,
+// …, hi-1 in order, as appendState writes them for a shard. Blobs alias
+// the payload buffer and must be consumed within the callback.
+func decodeState(buf []byte, lo, hi int, restore func(vertex int, blob []byte) error) error {
 	dec := msg.Cursor{Buf: buf}
 	count := dec.Uvarint("state count")
 	if dec.Err != nil {
 		return dec.Err
 	}
-	if count > uint64(len(dec.Buf))+1 {
-		return fmt.Errorf("net: implausible state count %d for %d remaining bytes", count, len(dec.Buf))
+	if count != uint64(hi-lo) {
+		return fmt.Errorf("net: state for %d vertices, want %d", count, hi-lo)
 	}
-	for i := uint64(0); i < count; i++ {
+	for v := lo; v < hi; v++ {
 		vertex := dec.Uvarint("state vertex")
 		blob := dec.LenBytes("state blob")
 		if dec.Err != nil {
 			return dec.Err
 		}
-		if err := restore(int(vertex), blob); err != nil {
+		if vertex != uint64(v) {
+			return fmt.Errorf("net: state for vertex %d, want %d", vertex, v)
+		}
+		if err := restore(v, blob); err != nil {
 			return err
 		}
 	}
